@@ -26,7 +26,7 @@ use crate::verify::{InstanceVerifier, VerifyScratch};
 use crate::voter::{DecidedMatching, SchemaVoter};
 use hera_block::StreamingBlocker;
 use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock};
-use hera_index::{UnionFind, ValuePairIndex};
+use hera_index::{drain_ranked_with, Bounds, UnionFind, ValuePairIndex};
 use hera_join::IncrementalJoin;
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_store::Snapshot;
@@ -169,8 +169,9 @@ pub struct ProgressiveReport {
     /// Union–find roots still marked dirty when the call returned — a
     /// free proxy for remaining work, 0 exactly when the fixpoint was
     /// reached. For the exact count of ranked candidate pairs the next
-    /// call will drain, ask [`HeraSession::frontier_len`] (an
-    /// O(index-scan) computation this report deliberately skips).
+    /// call will drain, ask [`HeraSession::frontier_len`] (it walks the
+    /// dirty roots' index partners and bounds every pair — work this
+    /// report deliberately skips).
     pub frontier: usize,
     /// True when the call stopped short of the fixpoint — a budget ran
     /// out, or the `HeraConfig::max_iterations` round cap ended the
@@ -233,6 +234,13 @@ pub struct HeraSession {
     voter: SchemaVoter,
     /// Records whose evidence changed since the last `resolve`.
     dirty: FxHashSet<u32>,
+    /// Root pairs whose bounds were last computed with `Up < δ` and
+    /// whose inputs have not changed since: the group is unrewritten and
+    /// neither side's informative size moved. The drain counts them as
+    /// pruned without recomputing. Derived state — never checkpointed; a
+    /// restored session starts cold and recomputes, with identical
+    /// results.
+    pruned_memo: FxHashSet<(u32, u32)>,
     /// Streaming blocker gating the incremental join's candidate
     /// universe; `None` when [`HeraConfig::blocking`] is
     /// [`hera_block::BlockingScheme::None`] — that path is byte-for-byte
@@ -337,6 +345,7 @@ impl HeraSessionBuilder {
             uf: UnionFind::new(0),
             voter: SchemaVoter::new(),
             dirty: FxHashSet::default(),
+            pruned_memo: FxHashSet::default(),
             recorder: self.recorder.unwrap_or_else(hera_obs::Recorder::from_env),
             faults: self.faults,
             retry: self.retry,
@@ -681,6 +690,7 @@ impl HeraSession {
         for p in &new_pairs {
             self.dirty.insert(p.a.rid);
             self.dirty.insert(p.b.rid);
+            self.pruned_memo.remove(&(p.a.rid, p.b.rid));
         }
         self.index.extend(new_pairs);
         Ok(RecordId::new(rid))
@@ -864,46 +874,64 @@ impl HeraSession {
             let round = self.stats.iterations;
             let round_merges_before = self.stats.merges;
             let round_metric_before = self.stats.metric_sim_calls;
+            let ts = Instant::now();
             let dirty = std::mem::take(&mut self.dirty);
-            let groups: Vec<(u32, u32)> = self
-                .index
-                .record_pairs()
-                .filter(|(i, j)| dirty.contains(i) || dirty.contains(j))
-                .collect();
 
-            // Phase A: dedup root-pairs in group order, then drain them
+            // Phase A: collect the frontier's root pairs, then drain them
             // from the index in bound-priority order (pruning Up < δ),
             // and verify the survivors in parallel against the
             // iteration-start state (verification is read-only).
-            let mut processed: FxHashSet<(u32, u32)> = FxHashSet::default();
-            let mut keys: Vec<(u32, u32)> = Vec::new();
-            for (i, j) in groups {
-                let (ri, rj) = (self.uf.find(i), self.uf.find(j));
-                if ri == rj {
-                    continue;
-                }
-                let key = (ri.min(rj), ri.max(rj));
-                let verdict_fresh = decided.get(&key).is_some_and(|&(ea, eb, ev)| {
+            let mut keys = frontier_keys(&self.index, &dirty);
+            keys.retain(|key| {
+                !decided.get(key).is_some_and(|&(ea, eb, ev)| {
                     ea == epoch_of(merge_epoch, key.0)
                         && eb == epoch_of(merge_epoch, key.1)
                         && ev == *voter_epoch
-                });
-                if verdict_fresh || !processed.insert(key) {
-                    continue;
-                }
-                keys.push(key);
-            }
+                })
+            });
+            let (mut memo_hits, mut memo_misses) = (0i64, 0i64);
             let (ranked, pruned) = {
-                let supers = &self.supers;
-                self.index.drain_ranked(
+                let (index, supers, memo) = (&self.index, &self.supers, &mut self.pruned_memo);
+                let bounds = |a: u32, b: u32| -> Bounds {
+                    let size = |r: u32| supers[&r].informative_size();
+                    index.bounds(a, b, size(a), size(b), cfg.bound_mode)
+                };
+                drain_ranked_with(
                     &keys,
-                    |r| supers[&r].informative_size(),
+                    |a, b| {
+                        if memo.contains(&(a, b)) {
+                            debug_assert!(
+                                bounds(a, b).up < cfg.delta,
+                                "pruned-pair memo hit ({a}, {b}) no longer prunes"
+                            );
+                            memo_hits += 1;
+                            return None;
+                        }
+                        memo_misses += 1;
+                        let computed = bounds(a, b);
+                        if computed.up < cfg.delta {
+                            memo.insert((a, b));
+                        }
+                        Some(computed)
+                    },
                     |r| supers[&r].members.len() as u64,
-                    cfg.bound_mode,
                     cfg.delta,
                 )
             };
             self.stats.pruned += pruned;
+            if rec.enabled() {
+                // Host-side cache traffic: a restored session starts with a
+                // cold memo, so these counts stay out of the core journal.
+                rec.emit_diag(
+                    "diag",
+                    vec![
+                        ("what", Json::Str("pruned_memo".into())),
+                        ("round", Json::Int(round as i64)),
+                        ("hits", Json::Int(memo_hits)),
+                        ("misses", Json::Int(memo_misses)),
+                    ],
+                );
+            }
 
             // Round schedule: the maximal-matching prefix of the ranked
             // list, cut at the ROUND_FOCUS priority floor and capped at
@@ -957,6 +985,7 @@ impl HeraSession {
                 }
             }
             let verify_list: Vec<(u32, u32)> = selected[..cap].to_vec();
+            rec.timing("resolve_schedule", Some(round), ts.elapsed());
             let tv = std::time::Instant::now();
             let verifications = {
                 let (index, supers, registry, cache) =
@@ -1003,6 +1032,8 @@ impl HeraSession {
             // stale branch below stays as a defensive safeguard (a stale
             // pair defers to the next round rather than merging on
             // outdated evidence).
+            let ta = Instant::now();
+            let mut processed: Option<FxHashSet<(u32, u32)>> = None;
             let mut touched: FxHashSet<u32> = FxHashSet::default();
             let mut deferred_stale = 0i64;
             let deferred_before = report.comparisons_deferred;
@@ -1021,7 +1052,11 @@ impl HeraSession {
                     continue;
                 }
                 let cur = (ri.min(rj), ri.max(rj));
-                if cur != key && !processed.insert(cur) {
+                if cur != key
+                    && !processed
+                        .get_or_insert_with(|| keys.iter().copied().collect())
+                        .insert(cur)
+                {
                     continue;
                 }
                 if cur != key || touched.contains(&cur.0) || touched.contains(&cur.1) {
@@ -1098,8 +1133,22 @@ impl HeraSession {
                 let winner = self.supers.get_mut(&cur.0).expect("winner exists");
                 let matching: Vec<(u32, u32)> =
                     v.matching.iter().map(|&(l, r, _)| (l, r)).collect();
+                let winner_size = winner.informative_size();
                 let remap = winner.absorb(&loser, &matching);
+                let winner_grew = winner.informative_size() != winner_size;
+                // Bounds move only where the merge rewrites a group (the
+                // loser's, re-homed under the winner) or resizes a side.
+                self.pruned_memo.remove(&cur);
+                for p in self.index.partners(cur.1) {
+                    self.pruned_memo.remove(&pair_key(cur.1, p));
+                    self.pruned_memo.remove(&pair_key(cur.0, p));
+                }
                 self.index.merge(cur.0, cur.1, k, |l| remap.apply(l));
+                if winner_grew {
+                    for p in self.index.partners(cur.0) {
+                        self.pruned_memo.remove(&pair_key(cur.0, p));
+                    }
+                }
                 if let Some(c) = self.cache.as_mut() {
                     c.merge(cur.0, cur.1, k, |l| remap.apply(l));
                 }
@@ -1117,6 +1166,7 @@ impl HeraSession {
                     comparisons_spent: report.comparisons_spent,
                 });
             }
+            rec.timing("resolve_apply", Some(round), ta.elapsed());
             self.stats
                 .metric_calls_by_round
                 .push(self.stats.metric_sim_calls - round_metric_before);
@@ -1202,29 +1252,15 @@ impl HeraSession {
     }
 
     /// Candidate root pairs currently pending on the frontier: pairs in
-    /// dirty-touching index groups whose upper bound clears `δ` — what
-    /// the next [`HeraSession::resolve_progressive`] call will drain
-    /// first. Read-only and deterministic.
+    /// index groups touching a dirty root whose upper bound clears `δ` —
+    /// what the next [`HeraSession::resolve_progressive`] call will drain
+    /// first. Read-only and deterministic; costs one bounds computation
+    /// per frontier pair.
     pub fn frontier_len(&self) -> usize {
-        let mut processed: FxHashSet<(u32, u32)> = FxHashSet::default();
-        let mut keys: Vec<(u32, u32)> = Vec::new();
-        for (i, j) in self.index.record_pairs() {
-            if !(self.dirty.contains(&i) || self.dirty.contains(&j)) {
-                continue;
-            }
-            let (ri, rj) = (self.uf.find_const(i), self.uf.find_const(j));
-            if ri == rj {
-                continue;
-            }
-            let key = (ri.min(rj), ri.max(rj));
-            if processed.insert(key) {
-                keys.push(key);
-            }
-        }
         let supers = &self.supers;
         self.index
             .drain_ranked(
-                &keys,
+                &frontier_keys(&self.index, &self.dirty),
                 |r| supers[&r].informative_size(),
                 |r| supers[&r].members.len() as u64,
                 self.config.bound_mode,
@@ -1305,6 +1341,30 @@ impl HeraSession {
     pub fn registry(&self) -> &SchemaRegistry {
         &self.registry
     }
+}
+
+/// The frontier's candidate root pairs: every index group touching a
+/// dirty root, each once, as a normalized `(min, max)` key. Group keys
+/// are always live union–find roots (a merge re-homes the loser's groups
+/// under the winner), so each dirty root's partner list *is* its share
+/// of the frontier — no index scan, no `find`, no dedup set. A pair of
+/// two dirty roots is emitted from its smaller side only.
+fn frontier_keys(index: &ValuePairIndex, dirty: &FxHashSet<u32>) -> Vec<(u32, u32)> {
+    let mut keys = Vec::new();
+    for &r in dirty {
+        for p in index.partners(r) {
+            if p < r && dirty.contains(&p) {
+                continue;
+            }
+            keys.push(pair_key(r, p));
+        }
+    }
+    keys
+}
+
+/// The normalized `(min, max)` key of a root pair.
+fn pair_key(a: u32, b: u32) -> (u32, u32) {
+    (a.min(b), a.max(b))
 }
 
 /// Pull-based view of one progressive resolve call — see

@@ -15,7 +15,7 @@
 
 use hera_types::json::Json;
 use hera_types::{Result, SchemaId, SchemaRegistry, SourceAttrId};
-use rustc_hash::FxHashMap;
+use rustc_hash::{FxHashMap, FxHashSet};
 
 /// Theorem 2's upper bound on majority-vote error probability.
 ///
@@ -53,6 +53,41 @@ impl DecidedMatching {
     }
 }
 
+/// The decision rule for one open bucket: `Some` when it has at least
+/// `min_n` trials, its error bound beats `rho`, and its majority
+/// candidate holds a strict majority.
+fn decide_bucket(
+    key: (SourceAttrId, SchemaId),
+    counts: &FxHashMap<SourceAttrId, u32>,
+    p: f64,
+    rho: f64,
+    min_n: u32,
+) -> Option<DecidedMatching> {
+    let n: u32 = counts.values().sum();
+    if n < min_n {
+        return None;
+    }
+    let err = vote_error_bound(n, p);
+    if err >= rho {
+        return None;
+    }
+    // Majority candidate; deterministic tie-break by attr id.
+    let (&winner, &wins) = counts
+        .iter()
+        .max_by_key(|(attr, c)| (**c, std::cmp::Reverse(attr.raw())))
+        .expect("non-empty vote bucket");
+    // Require a strict majority of the trials.
+    if 2 * wins <= n {
+        return None;
+    }
+    Some(DecidedMatching {
+        attr: key.0,
+        partner_schema: key.1,
+        partner: winner,
+        confidence: 1.0 - err,
+    })
+}
+
 /// Collects predictions and decides attribute matchings.
 #[derive(Debug, Default)]
 pub struct SchemaVoter {
@@ -60,6 +95,12 @@ pub struct SchemaVoter {
     votes: FxHashMap<(SourceAttrId, SchemaId), FxHashMap<SourceAttrId, u32>>,
     /// Decided matchings, keyed like `votes`. Decisions are final.
     decided: FxHashMap<(SourceAttrId, SchemaId), DecidedMatching>,
+    /// Buckets whose tallies changed since the last `decide` — the only
+    /// ones whose verdict can differ from that call's.
+    touched: FxHashSet<(SourceAttrId, SchemaId)>,
+    /// The `(p, rho, min_n)` rule of the last `decide` (floats as bits);
+    /// `None` — a fresh or decoded voter — forces a full scan.
+    last_rule: Option<(u64, u64, u32)>,
 }
 
 impl SchemaVoter {
@@ -80,43 +121,38 @@ impl SchemaVoter {
         }
         *self.votes.entry((a, sb)).or_default().entry(b).or_insert(0) += 1;
         *self.votes.entry((b, sa)).or_default().entry(a).or_insert(0) += 1;
+        self.touched.insert((a, sb));
+        self.touched.insert((b, sa));
     }
 
     /// Runs the decision rule over all open votes: for each `(attr,
     /// partner-schema)` bucket with at least `min_n` trials, if the
     /// majority candidate's error bound beats `rho`, the matching is
-    /// decided. Returns the newly decided matchings.
+    /// decided. Returns the newly decided matchings, sorted.
+    ///
+    /// A bucket's verdict is a pure function of its tallies and the
+    /// rule, so only buckets voted on since the previous call are
+    /// re-examined; the first call, a call after
+    /// [`SchemaVoter::from_json`], and a call under a different rule scan
+    /// every bucket.
     pub fn decide(&mut self, p: f64, rho: f64, min_n: u32) -> Vec<DecidedMatching> {
+        let rule = (p.to_bits(), rho.to_bits(), min_n);
+        let keys: Vec<(SourceAttrId, SchemaId)> = if self.last_rule == Some(rule) {
+            self.touched.drain().collect()
+        } else {
+            self.touched.clear();
+            self.votes.keys().copied().collect()
+        };
+        self.last_rule = Some(rule);
         let mut fresh = Vec::new();
-        for (&key, counts) in &self.votes {
+        for key in keys {
             if self.decided.contains_key(&key) {
                 continue;
             }
-            let n: u32 = counts.values().sum();
-            if n < min_n {
-                continue;
+            if let Some(d) = decide_bucket(key, &self.votes[&key], p, rho, min_n) {
+                self.decided.insert(key, d);
+                fresh.push(d);
             }
-            let err = vote_error_bound(n, p);
-            if err >= rho {
-                continue;
-            }
-            // Majority candidate; deterministic tie-break by attr id.
-            let (&winner, &wins) = counts
-                .iter()
-                .max_by_key(|(attr, c)| (**c, std::cmp::Reverse(attr.raw())))
-                .expect("non-empty vote bucket");
-            // Require a strict majority of the trials.
-            if 2 * wins <= n {
-                continue;
-            }
-            let d = DecidedMatching {
-                attr: key.0,
-                partner_schema: key.1,
-                partner: winner,
-                confidence: 1.0 - err,
-            };
-            self.decided.insert(key, d);
-            fresh.push(d);
         }
         fresh.sort_unstable_by_key(|d| (d.attr, d.partner_schema));
         fresh
@@ -374,6 +410,92 @@ mod tests {
             voter.decide(0.8, 0.6, 3),
             "continuation-equivalent decisions"
         );
+    }
+
+    /// The full-scan `decide` the incremental one replaced: every open
+    /// bucket is re-examined on every call.
+    fn decide_full_scan(v: &mut SchemaVoter, p: f64, rho: f64, min_n: u32) -> Vec<DecidedMatching> {
+        let mut fresh = Vec::new();
+        for (&key, counts) in &v.votes {
+            if v.decided.contains_key(&key) {
+                continue;
+            }
+            let n: u32 = counts.values().sum();
+            if n < min_n {
+                continue;
+            }
+            let err = vote_error_bound(n, p);
+            if err >= rho {
+                continue;
+            }
+            let (&winner, &wins) = counts
+                .iter()
+                .max_by_key(|(attr, c)| (**c, std::cmp::Reverse(attr.raw())))
+                .expect("non-empty vote bucket");
+            if 2 * wins <= n {
+                continue;
+            }
+            let d = DecidedMatching {
+                attr: key.0,
+                partner_schema: key.1,
+                partner: winner,
+                confidence: 1.0 - err,
+            };
+            v.decided.insert(key, d);
+            fresh.push(d);
+        }
+        fresh.sort_unstable_by_key(|d| (d.attr, d.partner_schema));
+        fresh
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// Random `add_vote`/`decide` interleavings — rules switching
+        /// mid-sequence, JSON round trips of the incremental voter
+        /// between calls — decide exactly what a full scan decides.
+        #[test]
+        fn incremental_decide_matches_full_scan(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let mut reg = SchemaRegistry::new();
+            let attrs: Vec<SourceAttrId> = (0..3)
+                .flat_map(|s| {
+                    let id = reg.add_schema(format!("S{s}"), ["a", "b", "c"]);
+                    reg.schema(id).attrs.iter().map(|a| a.id).collect::<Vec<_>>()
+                })
+                .collect();
+            let rules = [(0.8, 0.6, 3), (0.9, 0.5, 2), (0.7, 0.8, 1)];
+            let mut fast = SchemaVoter::new();
+            let mut slow = SchemaVoter::new();
+            for _ in 0..rng.gen_range(0..200) {
+                match rng.gen_range(0..10u32) {
+                    0..=6 => {
+                        let a = attrs[rng.gen_range(0..attrs.len())];
+                        let b = attrs[rng.gen_range(0..attrs.len())];
+                        fast.add_vote(&reg, a, b);
+                        slow.add_vote(&reg, a, b);
+                    }
+                    7 | 8 => {
+                        // Mostly one rule, sometimes another.
+                        let (p, rho, min_n) = rules[[0, 0, 1, 2][rng.gen_range(0..4usize)]];
+                        proptest::prop_assert_eq!(
+                            fast.decide(p, rho, min_n),
+                            decide_full_scan(&mut slow, p, rho, min_n)
+                        );
+                    }
+                    _ => {
+                        let dump = fast.to_json().to_string_compact();
+                        fast = SchemaVoter::from_json(&hera_types::json::parse(&dump).unwrap()).unwrap();
+                    }
+                }
+            }
+            proptest::prop_assert_eq!(
+                fast.to_json().to_string_compact(),
+                slow.to_json().to_string_compact()
+            );
+            proptest::prop_assert_eq!(fast.open_buckets(), slow.open_buckets());
+        }
     }
 
     #[test]

@@ -183,86 +183,22 @@ impl ValuePairIndex {
     /// summed per frontier component into the candidate gain. This is
     /// the scheduling signal progressive resolution spends its
     /// comparison budget along. Returns `(ranked survivors, pruned
-    /// count)`.
+    /// count)`. [`drain_ranked_with`] is the same drain over a
+    /// caller-supplied bounds source.
     pub fn drain_ranked(
         &self,
         pairs: &[(u32, u32)],
         mut size_of: impl FnMut(u32) -> usize,
-        mut members_of: impl FnMut(u32) -> u64,
+        members_of: impl FnMut(u32) -> u64,
         mode: BoundMode,
         delta: f64,
     ) -> (Vec<RankedCandidate>, usize) {
-        // Pass 1: bounds; drop candidates whose upper bound cannot reach
-        // δ. A pair is *confident* when its expected similarity (the
-        // [Low, Up] midpoint) clears δ — only confident pairs carry and
-        // contribute cluster gain below.
-        let mut survivors: Vec<((u32, u32), Bounds, bool)> = Vec::with_capacity(pairs.len());
-        let mut pruned = 0usize;
-        for &(a, b) in pairs {
-            let bounds = self.bounds(a, b, size_of(a), size_of(b), mode);
-            if bounds.up < delta {
-                pruned += 1;
-                continue;
-            }
-            let confident = 0.5 * (bounds.up + bounds.low) >= delta;
-            survivors.push(((a, b), bounds, confident));
-        }
-
-        // Pass 2: connected components of the confident frontier graph.
-        // A component approximates one not-yet-coalesced cluster, and its
-        // total record count is the payoff completing that cluster buys.
-        // Union–find over the roots; the partition (and hence the gain)
-        // is independent of edge order.
-        let mut slot: FxHashMap<u32, u32> = FxHashMap::default();
-        let mut parent: Vec<u32> = Vec::new();
-        let mut weight: Vec<u64> = Vec::new();
-        let mut slot_of = |r: u32, parent: &mut Vec<u32>, weight: &mut Vec<u64>| -> u32 {
-            *slot.entry(r).or_insert_with(|| {
-                let s = parent.len() as u32;
-                parent.push(s);
-                weight.push(members_of(r));
-                s
-            })
-        };
-        fn find(parent: &mut [u32], mut x: u32) -> u32 {
-            while parent[x as usize] != x {
-                parent[x as usize] = parent[parent[x as usize] as usize];
-                x = parent[x as usize];
-            }
-            x
-        }
-        for &((a, b), _, confident) in &survivors {
-            if !confident {
-                continue;
-            }
-            let (sa, sb) = (
-                slot_of(a, &mut parent, &mut weight),
-                slot_of(b, &mut parent, &mut weight),
-            );
-            let (ra, rb) = (find(&mut parent, sa), find(&mut parent, sb));
-            if ra != rb {
-                parent[ra as usize] = rb;
-                weight[rb as usize] += weight[ra as usize];
-            }
-        }
-
-        // Pass 3: gain = the candidate's component record total (1 for
-        // non-confident pairs), then the deterministic priority sort.
-        let mut ranked: Vec<RankedCandidate> = survivors
-            .into_iter()
-            .map(|((a, b), bounds, confident)| RankedCandidate {
-                pair: (a, b),
-                bounds,
-                gain: if confident {
-                    let s = slot[&a];
-                    weight[find(&mut parent, s) as usize]
-                } else {
-                    1
-                },
-            })
-            .collect();
-        rank_candidates(&mut ranked);
-        (ranked, pruned)
+        drain_ranked_with(
+            pairs,
+            |a, b| Some(self.bounds(a, b, size_of(a), size_of(b), mode)),
+            members_of,
+            delta,
+        )
     }
 
     /// Merge maintenance (§III-B2): records `i` and `j` were merged into
@@ -274,83 +210,77 @@ impl ValuePairIndex {
     /// Effects, per the paper: the `(i, j)` group is **deleted** (its
     /// values are now intra-record), every other group touching `i` or `j`
     /// is relabeled and re-homed under `k`, and group order is restored.
+    ///
+    /// Cost is proportional to what the merge disturbs: only the folded
+    /// record's groups move (joining `k`'s group where both had one);
+    /// `k`'s other groups are relabeled in place and re-sorted only when
+    /// `remap` actually moved one of their labels — which
+    /// `SuperRecord::absorb` never does, so a hub winner's groups stay put.
     pub fn merge(&mut self, i: u32, j: u32, k: u32, remap: impl Fn(Label) -> Label) {
         assert!(
             k == i || k == j,
             "merge target must be one of the merged rids"
         );
-        let (a, b) = if i < j { (i, j) } else { (j, i) };
+        let folded = if k == i { j } else { i };
 
         // 1. delete: intra-pairs between i and j.
-        if let Some(gone) = self.groups.remove(&(a, b)) {
+        if let Some(gone) = self.groups.remove(&pair_key(i, j)) {
             self.total -= gone.len();
         }
-        self.partners.entry(a).or_default().remove(&b);
-        self.partners.entry(b).or_default().remove(&a);
+        let mut folded_partners = self.partners.remove(&folded).unwrap_or_default();
+        folded_partners.remove(&k);
+        if let Some(ps) = self.partners.get_mut(&k) {
+            ps.remove(&folded);
+        }
 
-        // 2. collect partners of both rids (excluding each other).
-        let mut affected: FxHashSet<u32> = FxHashSet::default();
-        for rid in [i, j] {
-            if let Some(ps) = self.partners.get(&rid) {
-                affected.extend(ps.iter().copied());
+        // 2. relabel k's groups the folded record does not share, in place.
+        let kept: Vec<u32> = self
+            .partners
+            .get(&k)
+            .into_iter()
+            .flatten()
+            .copied()
+            .filter(|p| !folded_partners.contains(p))
+            .collect();
+        for p in kept {
+            let group = self
+                .groups
+                .get_mut(&pair_key(k, p))
+                .expect("partner without a group");
+            if relabel_side(group, k, &remap) {
+                sort_group(group);
+                self.total -= dedup_group(group);
             }
         }
-        affected.remove(&i);
-        affected.remove(&j);
 
-        // 3. update: re-home each affected group under k, relabeling.
-        for p in affected {
-            let mut merged: Vec<ValuePair> = Vec::new();
-            for old in [i, j] {
-                let key = if old < p { (old, p) } else { (p, old) };
-                if let Some(entries) = self.groups.remove(&key) {
-                    for e in entries {
-                        // Rewrite the side that belonged to old → k.
-                        let (mut x, mut y) = (e.a, e.b);
-                        if x.rid == old {
-                            x = remap(x);
-                            debug_assert_eq!(x.rid, k, "remap must move labels to k");
-                        } else {
-                            y = remap(y);
-                            debug_assert_eq!(y.rid, k, "remap must move labels to k");
-                        }
-                        let (x, y) = if x.rid < y.rid { (x, y) } else { (y, x) };
-                        merged.push(ValuePair {
-                            a: x,
-                            b: y,
-                            sim: e.sim,
-                        });
-                    }
+        // 3. re-home each folded group under k, joining k's group with
+        // the same partner when there is one.
+        for p in folded_partners {
+            let entries = self
+                .groups
+                .remove(&pair_key(folded, p))
+                .expect("partner without a group");
+            let group = self.groups.entry(pair_key(k, p)).or_default();
+            relabel_side(group, k, &remap);
+            group.extend(entries.into_iter().map(|e| {
+                // Rewrite the side that belonged to the folded rid → k.
+                let (mut x, mut y) = (e.a, e.b);
+                if x.rid == folded {
+                    x = remap(x);
+                    debug_assert_eq!(x.rid, k, "remap must move labels to k");
+                } else {
+                    y = remap(y);
+                    debug_assert_eq!(y.rid, k, "remap must move labels to k");
                 }
-                self.partners.entry(old).or_default().remove(&p);
-                self.partners.entry(p).or_default().remove(&old);
-            }
-            if merged.is_empty() {
-                continue;
-            }
-            sort_group(&mut merged);
-            // Super-record merging dedupes equal values, so two old labels
-            // can remap to one new label; the resulting entries are exact
-            // duplicates (equal values ⇒ equal sims). Keep the first.
-            let mut seen_labels: FxHashSet<(Label, Label)> = FxHashSet::default();
-            let before = merged.len();
-            merged.retain(|e| seen_labels.insert((e.a, e.b)));
-            self.total -= before - merged.len();
-            let new_key = if k < p { (k, p) } else { (p, k) };
-            // Both old groups were removed above; re-homing cannot collide
-            // with an untouched group because any (k, p) group was one of
-            // them (k ∈ {i, j}).
-            let slot = self.groups.entry(new_key).or_default();
-            debug_assert!(slot.is_empty(), "re-homed group collided");
-            slot.extend(merged);
+                let (a, b) = if x.rid < y.rid { (x, y) } else { (y, x) };
+                ValuePair { a, b, sim: e.sim }
+            }));
+            sort_group(group);
+            self.total -= dedup_group(group);
+            let ps = self.partners.entry(p).or_default();
+            ps.remove(&folded);
+            ps.insert(k);
             self.partners.entry(k).or_default().insert(p);
-            self.partners.entry(p).or_default().insert(k);
-        }
-
-        // Drop empty partner sets of the absorbed rid.
-        let folded = if k == i { j } else { i };
-        if self.partners.get(&folded).is_some_and(|s| s.is_empty()) {
-            self.partners.remove(&folded);
         }
     }
 
@@ -542,6 +472,94 @@ pub fn rank_candidates(v: &mut [RankedCandidate]) {
     });
 }
 
+/// [`ValuePairIndex::drain_ranked`] over a caller-supplied bounds
+/// source: `bounds_of(a, b)` returns the pair's Algorithm-1 bounds, or
+/// `None` when the caller already knows `Up < delta` — how a scheduler
+/// that memoizes pruned pairs skips recomputing bounds that cannot have
+/// changed. A `None` counts as pruned exactly like a computed `Up <
+/// delta`, so the returned `(ranked survivors, pruned count)` equal the
+/// plain drain's whenever the source is truthful.
+pub fn drain_ranked_with(
+    pairs: &[(u32, u32)],
+    mut bounds_of: impl FnMut(u32, u32) -> Option<Bounds>,
+    mut members_of: impl FnMut(u32) -> u64,
+    delta: f64,
+) -> (Vec<RankedCandidate>, usize) {
+    // Pass 1: bounds; drop candidates whose upper bound cannot reach
+    // δ. A pair is *confident* when its expected similarity (the
+    // [Low, Up] midpoint) clears δ — only confident pairs carry and
+    // contribute cluster gain below.
+    let mut survivors: Vec<((u32, u32), Bounds, bool)> = Vec::new();
+    let mut pruned = 0usize;
+    for &(a, b) in pairs {
+        let bounds = match bounds_of(a, b) {
+            Some(bounds) if bounds.up >= delta => bounds,
+            _ => {
+                pruned += 1;
+                continue;
+            }
+        };
+        let confident = 0.5 * (bounds.up + bounds.low) >= delta;
+        survivors.push(((a, b), bounds, confident));
+    }
+
+    // Pass 2: connected components of the confident frontier graph.
+    // A component approximates one not-yet-coalesced cluster, and its
+    // total record count is the payoff completing that cluster buys.
+    // Union–find over the roots; the partition (and hence the gain) is
+    // independent of edge order.
+    let mut slot: FxHashMap<u32, u32> = FxHashMap::default();
+    let mut parent: Vec<u32> = Vec::new();
+    let mut weight: Vec<u64> = Vec::new();
+    let mut slot_of = |r: u32, parent: &mut Vec<u32>, weight: &mut Vec<u64>| -> u32 {
+        *slot.entry(r).or_insert_with(|| {
+            let s = parent.len() as u32;
+            parent.push(s);
+            weight.push(members_of(r));
+            s
+        })
+    };
+    fn find(parent: &mut [u32], mut x: u32) -> u32 {
+        while parent[x as usize] != x {
+            parent[x as usize] = parent[parent[x as usize] as usize];
+            x = parent[x as usize];
+        }
+        x
+    }
+    for &((a, b), _, confident) in &survivors {
+        if !confident {
+            continue;
+        }
+        let (sa, sb) = (
+            slot_of(a, &mut parent, &mut weight),
+            slot_of(b, &mut parent, &mut weight),
+        );
+        let (ra, rb) = (find(&mut parent, sa), find(&mut parent, sb));
+        if ra != rb {
+            parent[ra as usize] = rb;
+            weight[rb as usize] += weight[ra as usize];
+        }
+    }
+
+    // Pass 3: gain = the candidate's component record total (1 for
+    // non-confident pairs), then the deterministic priority sort.
+    let mut ranked: Vec<RankedCandidate> = survivors
+        .into_iter()
+        .map(|((a, b), bounds, confident)| RankedCandidate {
+            pair: (a, b),
+            bounds,
+            gain: if confident {
+                let s = slot[&a];
+                weight[find(&mut parent, s) as usize]
+            } else {
+                1
+            },
+        })
+        .collect();
+    rank_candidates(&mut ranked);
+    (ranked, pruned)
+}
+
 /// Summary shape of a [`ValuePairIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IndexStats {
@@ -553,6 +571,40 @@ pub struct IndexStats {
     pub records: usize,
     /// Largest group size.
     pub max_group: usize,
+}
+
+/// The normalized `(min, max)` group key of a record pair.
+fn pair_key(i: u32, j: u32) -> (u32, u32) {
+    if i < j {
+        (i, j)
+    } else {
+        (j, i)
+    }
+}
+
+/// Rewrites the `rid` side of every entry of `group` through `remap`,
+/// returning whether any label moved.
+fn relabel_side(group: &mut [ValuePair], rid: u32, remap: impl Fn(Label) -> Label) -> bool {
+    let mut moved = false;
+    for e in group {
+        let side = if e.a.rid == rid { &mut e.a } else { &mut e.b };
+        let new = remap(*side);
+        debug_assert_eq!(new.rid, rid, "remap must move labels to k");
+        moved |= new != *side;
+        *side = new;
+    }
+    moved
+}
+
+/// Drops repeated label pairs from a sorted group, keeping the first,
+/// and returns how many were dropped. Super-record merging dedupes equal
+/// values, so two old labels can remap to one new label; the resulting
+/// entries are exact duplicates (equal values ⇒ equal sims).
+fn dedup_group(g: &mut Vec<ValuePair>) -> usize {
+    let before = g.len();
+    let mut seen: FxHashSet<(Label, Label)> = FxHashSet::default();
+    g.retain(|e| seen.insert((e.a, e.b)));
+    before - g.len()
 }
 
 fn sort_group(g: &mut [ValuePair]) {
@@ -696,6 +748,164 @@ mod tests {
         // (4,6) fid-3 pair collapse because this remap dedupes the equal
         // bush@gmail values of r1 and r6 into one label → 4 pairs.
         assert_eq!(idx.group(1, 2).len(), 4);
+    }
+
+    /// The re-home-everything merge [`ValuePairIndex::merge`] replaced:
+    /// every group of both rids is removed, relabeled, re-sorted,
+    /// deduplicated and reinserted under `k`. The differential oracle
+    /// for the in-place maintenance.
+    fn reference_merge(
+        idx: &mut ValuePairIndex,
+        i: u32,
+        j: u32,
+        k: u32,
+        remap: impl Fn(Label) -> Label,
+    ) {
+        let (a, b) = if i < j { (i, j) } else { (j, i) };
+        if let Some(gone) = idx.groups.remove(&(a, b)) {
+            idx.total -= gone.len();
+        }
+        idx.partners.entry(a).or_default().remove(&b);
+        idx.partners.entry(b).or_default().remove(&a);
+        let mut affected: FxHashSet<u32> = FxHashSet::default();
+        for rid in [i, j] {
+            if let Some(ps) = idx.partners.get(&rid) {
+                affected.extend(ps.iter().copied());
+            }
+        }
+        affected.remove(&i);
+        affected.remove(&j);
+        for p in affected {
+            let mut merged: Vec<ValuePair> = Vec::new();
+            for old in [i, j] {
+                let key = if old < p { (old, p) } else { (p, old) };
+                if let Some(entries) = idx.groups.remove(&key) {
+                    for e in entries {
+                        let (mut x, mut y) = (e.a, e.b);
+                        if x.rid == old {
+                            x = remap(x);
+                        } else {
+                            y = remap(y);
+                        }
+                        let (x, y) = if x.rid < y.rid { (x, y) } else { (y, x) };
+                        merged.push(ValuePair {
+                            a: x,
+                            b: y,
+                            sim: e.sim,
+                        });
+                    }
+                }
+                idx.partners.entry(old).or_default().remove(&p);
+                idx.partners.entry(p).or_default().remove(&old);
+            }
+            if merged.is_empty() {
+                continue;
+            }
+            sort_group(&mut merged);
+            let mut seen_labels: FxHashSet<(Label, Label)> = FxHashSet::default();
+            let before = merged.len();
+            merged.retain(|e| seen_labels.insert((e.a, e.b)));
+            idx.total -= before - merged.len();
+            let new_key = if k < p { (k, p) } else { (p, k) };
+            idx.groups.entry(new_key).or_default().extend(merged);
+            idx.partners.entry(k).or_default().insert(p);
+            idx.partners.entry(p).or_default().insert(k);
+        }
+        let folded = if k == i { j } else { i };
+        if idx.partners.get(&folded).is_some_and(|s| s.is_empty()) {
+            idx.partners.remove(&folded);
+        }
+    }
+
+    /// Sorted partner list of every rid below `n` — empty and missing
+    /// partner sets read the same.
+    fn partner_lists(idx: &ValuePairIndex, n: u32) -> Vec<Vec<u32>> {
+        (0..n)
+            .map(|r| {
+                let mut ps: Vec<u32> = idx.partners(r).collect();
+                ps.sort_unstable();
+                ps
+            })
+            .collect()
+    }
+
+    /// Random index over `n` records: one entry per label pair (as the
+    /// join emits), sims from a small set so ties are common.
+    fn random_index(rng: &mut impl rand::Rng, n: u32) -> ValuePairIndex {
+        let mut seen: FxHashSet<(Label, Label)> = FxHashSet::default();
+        let mut pairs = Vec::new();
+        for _ in 0..rng.gen_range(0..60) {
+            let (r1, r2) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            if r1 == r2 {
+                continue;
+            }
+            let x = Label::new(r1, rng.gen_range(0..3), rng.gen_range(0..3));
+            let y = Label::new(r2, rng.gen_range(0..3), rng.gen_range(0..3));
+            let (a, b) = if r1 < r2 { (x, y) } else { (y, x) };
+            if seen.insert((a, b)) {
+                let sim = [0.5, 0.7, 0.9, 1.0][rng.gen_range(0..4usize)];
+                pairs.push(ValuePair { a, b, sim });
+            }
+        }
+        ValuePairIndex::build(pairs)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// In-place merge ≡ the re-home-everything reference under
+        /// absorb-shaped remaps (loser labels fold into the winner's
+        /// fields, colliding values dedupe) and, in half the cases,
+        /// remaps that also renumber the winner's own labels.
+        #[test]
+        fn merge_matches_rehome_everything_reference(seed in proptest::prelude::any::<u64>()) {
+            use rand::{Rng, SeedableRng};
+            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+            let n = rng.gen_range(2..9u32);
+            let move_winner = rng.gen_range(0..2u32) == 1;
+            let mut fast = random_index(&mut rng, n);
+            let mut slow = fast.clone();
+            let mut live: Vec<u32> = (0..n).collect();
+            while live.len() >= 2 && rng.gen_range(0..8u32) != 0 {
+                let x = live[rng.gen_range(0..live.len())];
+                let y = live[rng.gen_range(0..live.len())];
+                if x == y {
+                    continue;
+                }
+                let k = if rng.gen_range(0..2u32) == 0 { x.min(y) } else { x.max(y) };
+                let loser = if k == x { y } else { x };
+                live.retain(|&r| r != loser);
+                let fold = rng.gen_range(1..4u32);
+                let remap = |l: Label| {
+                    if l.rid != k {
+                        Label::new(k, l.fid % fold, l.vid % 2)
+                    } else if move_winner {
+                        Label::new(k, l.fid, l.vid / 2)
+                    } else {
+                        l
+                    }
+                };
+                fast.merge(x, y, k, remap);
+                reference_merge(&mut slow, x, y, k, remap);
+                proptest::prop_assert_eq!(fast.check_invariants(), Ok(()));
+                proptest::prop_assert_eq!(slow.check_invariants(), Ok(()));
+                proptest::prop_assert_eq!(fast.len(), slow.len());
+                proptest::prop_assert_eq!(fast.group_count(), slow.group_count());
+                proptest::prop_assert_eq!(
+                    fast.to_json().to_string_compact(),
+                    slow.to_json().to_string_compact()
+                );
+                proptest::prop_assert_eq!(partner_lists(&fast, n), partner_lists(&slow, n));
+                for (a, b) in fast.record_pairs() {
+                    proptest::prop_assert!(a != loser && b != loser);
+                }
+                for r in 0..n {
+                    for p in fast.partners(r) {
+                        proptest::prop_assert!(!fast.group(r, p).is_empty());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -30,7 +30,7 @@ mod union_find;
 
 pub use bounds::{refined_field_set_into, BoundMode, Bounds, FieldPairSim};
 pub use flat::FlatIndex;
-pub use index::{rank_candidates, IndexStats, RankedCandidate, ValuePairIndex};
+pub use index::{drain_ranked_with, rank_candidates, IndexStats, RankedCandidate, ValuePairIndex};
 pub use union_find::UnionFind;
 
 pub use hera_join::ValuePair;
