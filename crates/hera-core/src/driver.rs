@@ -1,16 +1,17 @@
-//! The HERA driver — Algorithm 2 (§V).
+//! The HERA driver — Algorithm 2 (§V): the batch entry point and the
+//! Paper schedule over the shared [`Engine`].
 
 use crate::config::HeraConfig;
-use crate::simcache::SimCache;
+use crate::engine::{frontier_keys, pair_key, Engine, StageAgg, Verdict};
 use crate::stats::RunStats;
 use crate::super_record::SuperRecord;
-use crate::verify::{InstanceVerifier, VerifyScratch};
-use crate::voter::{DecidedMatching, SchemaVoter};
+use crate::voter::DecidedMatching;
 use hera_index::{UnionFind, ValuePairIndex};
 use hera_join::{JoinConfig, SimilarityJoin};
 use hera_sim::{TypeDispatch, ValueSimilarity};
+use hera_types::json::Json;
 use hera_types::{Dataset, HeraError, Result};
-use rustc_hash::{FxHashMap, FxHashSet};
+use rustc_hash::FxHashSet;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -175,446 +176,26 @@ impl Hera {
                 )));
             }
         }
-        let mut stats = RunStats::default();
-        let cfg = &self.config;
-        let rec = &self.recorder;
+        let (cfg, rec) = (&self.config, &self.recorder);
         rec.run_start("batch", &ds.name, ds.len(), cfg.delta, cfg.xi);
 
         // ---- Line 1: build index (offline, Prop. 1).
         let t0 = Instant::now();
-        let mut index = ValuePairIndex::build(pairs);
-        stats.index_size = index.len();
-        stats.index_build_time = t0.elapsed();
-        index.record_span(rec, "index_build");
-        rec.timing("index_build", None, stats.index_build_time);
+        let mut e = Engine::new(cfg.clone(), self.metric.clone(), rec.clone());
+        e.index = ValuePairIndex::build(pairs);
+        e.stats.index_build_time = t0.elapsed();
+        e.index.record_span(rec, "index_build");
+        rec.timing("index_build", None, e.stats.index_build_time);
 
-        let t1 = Instant::now();
-        let n = ds.len();
-        let mut uf = UnionFind::new(n);
-        let mut supers: FxHashMap<u32, SuperRecord> = ds
+        e.registry = ds.registry.clone();
+        e.uf = UnionFind::new(ds.len());
+        e.supers = ds
             .iter()
             .map(|r| (r.id.raw(), SuperRecord::from_record(ds, r)))
             .collect();
-        let mut voter = SchemaVoter::new();
-        let verifier = InstanceVerifier::new(self.metric.as_ref(), cfg.xi, cfg.use_kuhn_munkres);
-        let threads = crate::parallel::effective_threads(cfg.num_threads);
-        stats.threads = threads;
-        // Merge-aware similarity memo cache (read-only during the parallel
-        // snapshot phases; filled and invalidated in the sequential apply
-        // phases, so results stay bit-identical at every thread count).
-        let mut cache: Option<SimCache> = cfg.sim_cache.then(SimCache::new);
-        // Scratch for the sequential re-verifications of the apply phases.
-        let mut scratch = VerifyScratch::new();
+        resolve_paper(&mut e)?;
 
-        // ---- Lines 2–10: iterate until no two super records merge.
-        //
-        // Dirty tracking: a group whose two records did not change since
-        // the last scan has unchanged bounds (its entries and both record
-        // sizes are untouched), so a pair pruned or rejected once only
-        // needs re-examination after one of its sides merges. The first
-        // iteration scans everything; later iterations scan only groups
-        // touching a record merged in the previous iteration.
-        let mut dirty: Option<FxHashSet<u32>> = None;
-        loop {
-            if stats.iterations >= cfg.max_iterations {
-                break;
-            }
-            stats.iterations += 1;
-            let round = stats.iterations;
-            let mut merged_any = false;
-            let mut merged_rids: FxHashSet<u32> = FxHashSet::default();
-            let round_metric_calls_before = stats.metric_sim_calls;
-            let round_merges_before = stats.merges;
-            let round_pruned_before = stats.pruned;
-
-            // Candidate generation (line 3): scan every record pair that
-            // shares at least one similar value. Groups snapshot — merges
-            // re-home groups mid-iteration, so pairs are re-resolved
-            // through union–find before use.
-            let groups: Vec<(u32, u32)> = match &dirty {
-                None => index.record_pairs().collect(),
-                Some(d) => index
-                    .record_pairs()
-                    .filter(|(i, j)| d.contains(i) || d.contains(j))
-                    .collect(),
-            };
-            let groups_scanned = groups.len();
-            let mut direct: Vec<(u32, u32)> = Vec::new();
-            let mut candidates: Vec<(u32, u32)> = Vec::new();
-            for (i, j) in groups {
-                let (si, sj) = (supers[&i].informative_size(), supers[&j].informative_size());
-                let b = index.bounds(i, j, si, sj, cfg.bound_mode);
-                if b.up < cfg.delta {
-                    stats.pruned += 1;
-                } else if b.is_exact() {
-                    stats.direct_decisions += 1;
-                    if b.up >= cfg.delta {
-                        direct.push((i, j));
-                    }
-                } else {
-                    candidates.push((i, j));
-                }
-            }
-            rec.span(
-                "candidates",
-                Some(round),
-                &[
-                    ("groups", groups_scanned as i64),
-                    ("pruned", (stats.pruned - round_pruned_before) as i64),
-                    ("direct", direct.len() as i64),
-                    ("deferred", candidates.len() as i64),
-                ],
-            );
-
-            // Lines 4–5: merge the directly-decided pairs. Like the
-            // candidate stage below, this runs as a parallel snapshot
-            // phase (A) followed by a sequential apply phase (B): the
-            // split is what keeps N-thread results bit-identical to the
-            // 1-thread run — threads never influence which state a
-            // verdict is computed from, only when.
-            //
-            // Phase A: deduplicate in pair order and verify the pairs
-            // still under their original roots against the round-start
-            // state. The rest fall through to the candidate stage —
-            // their exact bounds are stale (the conflict-free
-            // similar-field-pair argument no longer applies under merged
-            // roots), so they need a full verification.
-            let mut processed: FxHashSet<(u32, u32)> = FxHashSet::default();
-            let mut direct_list: Vec<(u32, u32)> = Vec::new();
-            for (i, j) in direct {
-                let (ri, rj) = (uf.find(i), uf.find(j));
-                if ri == rj {
-                    continue;
-                }
-                let key = (ri.min(rj), ri.max(rj));
-                if !processed.insert(key) {
-                    continue;
-                }
-                if (ri, rj) == (i.min(j), i.max(j)) {
-                    direct_list.push(key);
-                } else {
-                    candidates.push(key);
-                }
-            }
-            let td = Instant::now();
-            let direct_verifications = {
-                let (index, supers, voter, cache) = (&index, &supers, &voter, &cache);
-                crate::parallel::par_map_with(
-                    threads,
-                    &direct_list,
-                    VerifyScratch::new,
-                    |scratch, &(a, b)| {
-                        let v = self.verify_pair(
-                            &verifier,
-                            index,
-                            supers,
-                            ds,
-                            voter,
-                            cache.as_ref(),
-                            a,
-                            b,
-                            scratch,
-                        );
-                        (v, std::mem::take(&mut scratch.delta))
-                    },
-                )
-            };
-            let td_elapsed = td.elapsed();
-            stats.verify_time += td_elapsed;
-            // Per-worker aggregation: verdicts arrive in input order
-            // regardless of thread count, so folding them here yields
-            // one deterministic span per stage.
-            let mut direct_agg = StageAgg::default();
-            for (v, delta) in &direct_verifications {
-                stats.simplified_nodes_sum += v.simplified_nodes;
-                stats.graph_nodes_sum += v.graph_nodes;
-                stats.matchings_run += 1;
-                stats.record_cache_delta(delta);
-                direct_agg.add(v, delta);
-            }
-            direct_agg.emit(rec, "verify_direct", round);
-            rec.timing("verify_direct", Some(round), td_elapsed);
-
-            // Phase B: merge in pair order. A pair re-rooted by an
-            // earlier merge in this phase falls through to the candidate
-            // stage; a pair whose super record grew (its root absorbed
-            // another record) gets re-verified against the current state
-            // so its field matching and votes are fresh.
-            let mut touched: FxHashSet<u32> = FxHashSet::default();
-            let mut direct_reverify = StageAgg::default();
-            for (idx, &key) in direct_list.iter().enumerate() {
-                // Memoize the snapshot verdict's metric calls — even when
-                // the verdict itself goes stale below, its fills are exact
-                // metric outputs, so the sequential re-verification can
-                // reuse them. Fills naming a since-folded record are
-                // filtered out (only root labels stay valid across merges).
-                if let Some(c) = cache.as_mut() {
-                    c.apply_if(&direct_verifications[idx].1, |l| {
-                        uf.find_const(l.rid) == l.rid
-                    });
-                }
-                let (ri, rj) = (uf.find(key.0), uf.find(key.1));
-                if ri == rj {
-                    continue;
-                }
-                let cur = (ri.min(rj), ri.max(rj));
-                if cur != key {
-                    if processed.insert(cur) {
-                        candidates.push(cur);
-                    }
-                    continue;
-                }
-                let stale = touched.contains(&key.0) || touched.contains(&key.1);
-                let reverified;
-                let v = if stale {
-                    let t = Instant::now();
-                    reverified = self.verify_pair(
-                        &verifier,
-                        &index,
-                        &supers,
-                        ds,
-                        &voter,
-                        cache.as_ref(),
-                        key.0,
-                        key.1,
-                        &mut scratch,
-                    );
-                    stats.verify_time += t.elapsed();
-                    stats.simplified_nodes_sum += reverified.simplified_nodes;
-                    stats.graph_nodes_sum += reverified.graph_nodes;
-                    stats.matchings_run += 1;
-                    stats.record_cache_delta(&scratch.delta);
-                    direct_reverify.add(&reverified, &scratch.delta);
-                    if let Some(c) = cache.as_mut() {
-                        c.apply(&scratch.delta);
-                    }
-                    &reverified
-                } else {
-                    &direct_verifications[idx].0
-                };
-                // Directly-decided similar pairs are just as much
-                // evidence for schema matchings as verified ones: the
-                // schema-based method consumes every field matching of
-                // a pair judged to co-refer (§IV-B).
-                if cfg.schema_voting {
-                    self.cast_votes(&mut voter, &supers, ds, key.0, key.1, v.predicted());
-                    let fresh =
-                        voter.decide(cfg.vote_prior, cfg.vote_error_threshold, cfg.vote_min_n);
-                    stats.schema_matchings_decided += fresh.len();
-                    self.emit_decided(ds, round, &fresh);
-                }
-                rec.merge(round, key.0, key.1, v.sim, v.matching.len());
-                self.merge_pair(
-                    &mut index,
-                    &mut supers,
-                    &mut uf,
-                    &mut cache,
-                    key.0,
-                    key.1,
-                    &v.matching,
-                    &mut stats,
-                );
-                merged_any = true;
-                merged_rids.insert(key.0);
-                touched.insert(key.0);
-                touched.insert(key.1);
-            }
-            rec.span(
-                "apply_direct",
-                Some(round),
-                &[
-                    ("merges", (stats.merges - round_merges_before) as i64),
-                    ("reverified", direct_reverify.pairs),
-                    ("lookups", direct_reverify.lookups),
-                ],
-            );
-
-            // Lines 6–10: verify candidates, vote, merge — split into a
-            // parallel snapshot phase (A) and a sequential apply phase
-            // (B) so results are bit-identical for every thread count.
-            //
-            // Phase A: deduplicate candidate root-pairs in candidate
-            // order (thread-count independent) and verify each against
-            // the round's post-direct-phase state. Verification is
-            // read-only, so the verdicts can be computed on any number
-            // of workers without changing them.
-            let mut verify_list: Vec<(u32, u32)> = Vec::new();
-            for (i, j) in candidates {
-                let (ri, rj) = (uf.find(i), uf.find(j));
-                if ri == rj {
-                    continue;
-                }
-                let key = (ri.min(rj), ri.max(rj));
-                if !processed.insert(key) {
-                    continue;
-                }
-                verify_list.push(key);
-            }
-            let tv = Instant::now();
-            let verifications = {
-                let (index, supers, voter, cache) = (&index, &supers, &voter, &cache);
-                crate::parallel::par_map_with(
-                    threads,
-                    &verify_list,
-                    VerifyScratch::new,
-                    |scratch, &(a, b)| {
-                        let v = self.verify_pair(
-                            &verifier,
-                            index,
-                            supers,
-                            ds,
-                            voter,
-                            cache.as_ref(),
-                            a,
-                            b,
-                            scratch,
-                        );
-                        (v, std::mem::take(&mut scratch.delta))
-                    },
-                )
-            };
-            let tv_elapsed = tv.elapsed();
-            stats.verify_time += tv_elapsed;
-            let mut cand_agg = StageAgg::default();
-            for (v, delta) in &verifications {
-                stats.comparisons += 1;
-                stats.simplified_nodes_sum += v.simplified_nodes;
-                stats.graph_nodes_sum += v.graph_nodes;
-                stats.matchings_run += 1;
-                stats.record_cache_delta(delta);
-                cand_agg.add(v, delta);
-            }
-            cand_agg.emit(rec, "verify_candidates", round);
-            rec.timing("verify_candidates", Some(round), tv_elapsed);
-
-            // Phase B: apply in candidate order. A merge earlier in this
-            // phase can re-root or grow a super record a later snapshot
-            // verdict was computed from; such stale pairs are re-verified
-            // sequentially against the current state, so the decisions
-            // match what a fully sequential pass would make.
-            let mut touched: FxHashSet<u32> = FxHashSet::default();
-            let mut cand_reverify = StageAgg::default();
-            let apply_merges_before = stats.merges;
-            for (idx, &key) in verify_list.iter().enumerate() {
-                // Memoize this verdict's metric calls up front (filtered
-                // to still-root labels) — see the direct phase above.
-                if let Some(c) = cache.as_mut() {
-                    c.apply_if(&verifications[idx].1, |l| uf.find_const(l.rid) == l.rid);
-                }
-                let (ri, rj) = (uf.find(key.0), uf.find(key.1));
-                if ri == rj {
-                    continue;
-                }
-                let cur = (ri.min(rj), ri.max(rj));
-                if cur != key && !processed.insert(cur) {
-                    continue;
-                }
-                let stale = cur != key || touched.contains(&cur.0) || touched.contains(&cur.1);
-                let reverified;
-                let v = if stale {
-                    let t = Instant::now();
-                    reverified = self.verify_pair(
-                        &verifier,
-                        &index,
-                        &supers,
-                        ds,
-                        &voter,
-                        cache.as_ref(),
-                        cur.0,
-                        cur.1,
-                        &mut scratch,
-                    );
-                    stats.verify_time += t.elapsed();
-                    stats.comparisons += 1;
-                    stats.simplified_nodes_sum += reverified.simplified_nodes;
-                    stats.graph_nodes_sum += reverified.graph_nodes;
-                    stats.matchings_run += 1;
-                    stats.record_cache_delta(&scratch.delta);
-                    cand_reverify.add(&reverified, &scratch.delta);
-                    if let Some(c) = cache.as_mut() {
-                        c.apply(&scratch.delta);
-                    }
-                    &reverified
-                } else {
-                    &verifications[idx].0
-                };
-                if v.sim >= cfg.delta {
-                    // Line 9: schema-based method on the new predictions.
-                    if cfg.schema_voting {
-                        self.cast_votes(&mut voter, &supers, ds, cur.0, cur.1, v.predicted());
-                        let fresh =
-                            voter.decide(cfg.vote_prior, cfg.vote_error_threshold, cfg.vote_min_n);
-                        stats.schema_matchings_decided += fresh.len();
-                        self.emit_decided(ds, round, &fresh);
-                    }
-                    // Line 10: merge.
-                    rec.merge(round, cur.0, cur.1, v.sim, v.matching.len());
-                    self.merge_pair(
-                        &mut index,
-                        &mut supers,
-                        &mut uf,
-                        &mut cache,
-                        cur.0,
-                        cur.1,
-                        &v.matching,
-                        &mut stats,
-                    );
-                    merged_any = true;
-                    merged_rids.insert(cur.0);
-                    touched.insert(cur.0);
-                    touched.insert(cur.1);
-                }
-            }
-            rec.span(
-                "apply_candidates",
-                Some(round),
-                &[
-                    ("merges", (stats.merges - apply_merges_before) as i64),
-                    ("reverified", cand_reverify.pairs),
-                    ("lookups", cand_reverify.lookups),
-                ],
-            );
-
-            stats
-                .metric_calls_by_round
-                .push(stats.metric_sim_calls - round_metric_calls_before);
-            rec.round_end(
-                round,
-                (stats.merges - round_merges_before) as i64,
-                index.len() as i64,
-                voter.open_buckets() as i64,
-            );
-
-            if cfg.validate_index {
-                index.check_invariants().map_err(|e| {
-                    HeraError::Corrupt(format!(
-                        "index invariant broken after iteration {}: {e}",
-                        stats.iterations
-                    ))
-                })?;
-                if let Some(c) = &cache {
-                    c.check_invariants().map_err(|e| {
-                        HeraError::Corrupt(format!(
-                            "sim-cache invariant broken after iteration {}: {e}",
-                            stats.iterations
-                        ))
-                    })?;
-                }
-            }
-
-            if !merged_any {
-                break;
-            }
-            dirty = Some(merged_rids);
-        }
-
-        stats.final_index_size = index.len();
-        if let Some(c) = &cache {
-            stats.sim_cache_size = c.len();
-            stats.sim_cache_invalidated = c.invalidated();
-        }
-        stats.resolve_time = t1.elapsed();
-
+        let stats = &e.stats;
         rec.run_end(&[
             ("iterations", stats.iterations as i64),
             ("merges", stats.merges as i64),
@@ -638,27 +219,15 @@ impl Hera {
         rec.emit_diag(
             "diag",
             vec![
-                ("threads", hera_types::json::Json::Int(stats.threads as i64)),
-                ("sim_cache", hera_types::json::Json::Bool(cfg.sim_cache)),
-                (
-                    "cache_hits",
-                    hera_types::json::Json::Int(stats.sim_cache_hits as i64),
-                ),
-                (
-                    "cache_misses",
-                    hera_types::json::Json::Int(stats.sim_cache_misses as i64),
-                ),
-                (
-                    "metric_sim_calls",
-                    hera_types::json::Json::Int(stats.metric_sim_calls as i64),
-                ),
-                (
-                    "cache_size",
-                    hera_types::json::Json::Int(stats.sim_cache_size as i64),
-                ),
+                ("threads", Json::Int(stats.threads as i64)),
+                ("sim_cache", Json::Bool(cfg.sim_cache)),
+                ("cache_hits", Json::Int(stats.sim_cache_hits as i64)),
+                ("cache_misses", Json::Int(stats.sim_cache_misses as i64)),
+                ("metric_sim_calls", Json::Int(stats.metric_sim_calls as i64)),
+                ("cache_size", Json::Int(stats.sim_cache_size as i64)),
                 (
                     "cache_invalidated",
-                    hera_types::json::Json::Int(stats.sim_cache_invalidated as i64),
+                    Json::Int(stats.sim_cache_invalidated as i64),
                 ),
             ],
         );
@@ -667,147 +236,175 @@ impl Hera {
         rec.flush();
 
         // ---- Lines 11–12: entity labels via union–find.
-        let entity_of: Vec<u32> = (0..n as u32).map(|r| uf.find(r)).collect();
+        let entity_of: Vec<u32> = (0..ds.len() as u32).map(|r| e.uf.find(r)).collect();
         Ok(HeraResult {
             entity_of,
-            stats,
-            schema_matchings: voter.decided(),
+            stats: e.stats,
+            schema_matchings: e.voter.decided(),
         })
     }
+}
 
-    #[allow(clippy::too_many_arguments)]
-    fn verify_pair(
-        &self,
-        verifier: &InstanceVerifier<'_>,
-        index: &ValuePairIndex,
-        supers: &FxHashMap<u32, SuperRecord>,
-        ds: &Dataset,
-        voter: &SchemaVoter,
-        cache: Option<&SimCache>,
-        i: u32,
-        j: u32,
-        scratch: &mut VerifyScratch,
-    ) -> crate::verify::Verification {
-        let voter_opt = self.config.schema_voting.then_some(voter);
-        verifier.verify_with(
-            index,
-            &supers[&i],
-            &supers[&j],
-            &ds.registry,
-            voter_opt,
-            cache,
-            scratch,
-        )
-    }
+/// The Paper schedule: Algorithm 2 lines 2–10 run to a fixpoint on `e`.
+///
+/// Each iteration scans its candidate groups in ascending key order —
+/// every group in the first iteration, afterwards only the groups of
+/// roots merged in the previous one (a group whose two records did not
+/// change has unchanged bounds, so a pair pruned or rejected once needs
+/// re-examination only after one of its sides merges). It then:
+///
+/// 1. merges the directly decided pairs (`Up = Low ≥ δ`, lines 4–5);
+/// 2. verifies, votes on and merges every other surviving candidate
+///    (lines 6–10) in the same iteration.
+///
+/// Both stages run a parallel snapshot phase (verify against the
+/// stage-start state) and a sequential apply phase in pair order, so
+/// results are bit-identical at every thread count. A verdict made stale
+/// by an earlier merge of the same phase is re-verified on the spot
+/// against the current state.
+pub(crate) fn resolve_paper(e: &mut Engine) -> Result<()> {
+    let started = Instant::now();
+    e.stats.threads = e.threads;
+    e.stats.index_size = e.index.len();
+    for iteration in 0..e.config.max_iterations {
+        let round = e.begin_round();
+        let dirty = std::mem::take(&mut e.dirty);
+        let keys: Vec<(u32, u32)> = if iteration == 0 {
+            e.index.record_pairs().collect()
+        } else {
+            let mut keys = frontier_keys(&e.index, &dirty);
+            keys.sort_unstable();
+            keys
+        };
 
-    /// Journals freshly decided schema matchings. Name resolution only
-    /// runs when a sink is attached.
-    fn emit_decided(&self, ds: &Dataset, round: usize, fresh: &[DecidedMatching]) {
-        if !self.recorder.enabled() || fresh.is_empty() {
-            return;
-        }
-        for d in fresh {
-            self.recorder.schema_decided(
-                round,
-                &ds.registry.attr_qualified_name(d.attr),
-                &ds.registry.attr_qualified_name(d.partner),
-                d.up_error(),
-            );
-        }
-    }
-
-    /// Casts schema-matching votes for every attribute pair aggregated by
-    /// a predicted field matching.
-    fn cast_votes(
-        &self,
-        voter: &mut SchemaVoter,
-        supers: &FxHashMap<u32, SuperRecord>,
-        ds: &Dataset,
-        i: u32,
-        j: u32,
-        predicted: &[(u32, u32, f64)],
-    ) {
-        let (li, rj) = (&supers[&i], &supers[&j]);
-        for &(lf, rf, _) in predicted {
-            for &a in &li.fields[lf as usize].attrs {
-                for &b in &rj.fields[rf as usize].attrs {
-                    voter.add_vote(&ds.registry, a, b);
-                }
+        // Candidate generation (line 3).
+        let (groups, pruned_before) = (keys.len(), e.stats.pruned);
+        let mut direct: Vec<(u32, u32)> = Vec::new();
+        let mut candidates: Vec<(u32, u32)> = Vec::new();
+        for (i, j) in keys {
+            let b = e.bounds(i, j);
+            if b.up < e.config.delta {
+                e.stats.pruned += 1;
+            } else if b.is_exact() {
+                e.stats.direct_decisions += 1;
+                direct.push((i, j));
+            } else {
+                candidates.push((i, j));
             }
         }
-    }
-
-    /// Merges super records `i` and `j` (roots, `i < j`) using the field
-    /// matching, and maintains the index (§III-B2).
-    #[allow(clippy::too_many_arguments)]
-    fn merge_pair(
-        &self,
-        index: &mut ValuePairIndex,
-        supers: &mut FxHashMap<u32, SuperRecord>,
-        uf: &mut UnionFind,
-        cache: &mut Option<SimCache>,
-        i: u32,
-        j: u32,
-        matching: &[(u32, u32, f64)],
-        stats: &mut RunStats,
-    ) {
-        debug_assert!(i < j);
-        let k = uf.union(i, j);
-        debug_assert_eq!(k, i, "union keeps the smaller root");
-        let loser = supers.remove(&j).expect("loser super record exists");
-        let winner = supers.get_mut(&i).expect("winner super record exists");
-        let field_matching: Vec<(u32, u32)> = matching.iter().map(|&(l, r, _)| (l, r)).collect();
-        let remap = winner.absorb(&loser, &field_matching);
-        index.merge(i, j, k, |l| remap.apply(l));
-        // The memo cache survives the merge through the same remap: the
-        // (i, j) group is invalidated, third-party groups are re-homed.
-        if let Some(c) = cache.as_mut() {
-            c.merge(i, j, k, |l| remap.apply(l));
-        }
-        stats.merges += 1;
-    }
-}
-
-/// Deterministic per-stage aggregate over a list of verifications, folded
-/// in input order (the `par_map_with` output order, which is independent
-/// of thread count). `lookups` uses [`SimDelta::lookups`], the
-/// cache-invariant counter, so the emitted span is byte-identical with
-/// the similarity cache on or off.
-#[derive(Debug, Default)]
-pub(crate) struct StageAgg {
-    pub(crate) pairs: i64,
-    pub(crate) lookups: i64,
-    graph_nodes: i64,
-    simplified_nodes: i64,
-    components: i64,
-}
-
-impl StageAgg {
-    pub(crate) fn add(
-        &mut self,
-        v: &crate::verify::Verification,
-        delta: &crate::simcache::SimDelta,
-    ) {
-        self.pairs += 1;
-        self.lookups += delta.lookups() as i64;
-        self.graph_nodes += v.graph_nodes as i64;
-        self.simplified_nodes += v.simplified_nodes as i64;
-        self.components += v.components as i64;
-    }
-
-    pub(crate) fn emit(&self, rec: &hera_obs::Recorder, stage: &str, round: usize) {
-        rec.span(
-            stage,
-            Some(round),
+        e.recorder.span(
+            "candidates",
+            Some(round.n),
             &[
-                ("pairs", self.pairs),
-                ("lookups", self.lookups),
-                ("graph_nodes", self.graph_nodes),
-                ("simplified_nodes", self.simplified_nodes),
-                ("components", self.components),
+                ("groups", groups as i64),
+                ("pruned", (e.stats.pruned - pruned_before) as i64),
+                ("direct", direct.len() as i64),
+                ("deferred", candidates.len() as i64),
             ],
         );
+
+        // Lines 4–5: directly decided pairs. Group keys are live roots
+        // and nothing has merged yet this iteration, so every pair is
+        // still under its original roots.
+        let mut processed: FxHashSet<(u32, u32)> = direct.iter().copied().collect();
+        let verdicts = e.verify_all(&direct, "verify_direct", round.n, false);
+        apply(
+            e,
+            round.n,
+            &direct,
+            verdicts,
+            &mut processed,
+            Some(&mut candidates),
+        );
+
+        // Lines 6–10: verify the remaining candidates, vote, merge.
+        let mut verify_list: Vec<(u32, u32)> = Vec::new();
+        for (i, j) in candidates {
+            let (ri, rj) = (e.uf.find(i), e.uf.find(j));
+            if ri != rj && processed.insert(pair_key(ri, rj)) {
+                verify_list.push(pair_key(ri, rj));
+            }
+        }
+        let verdicts = e.verify_all(&verify_list, "verify_candidates", round.n, true);
+        apply(e, round.n, &verify_list, verdicts, &mut processed, None);
+
+        let merged_any = e.merges_since(&round) > 0;
+        e.end_round(&round)?;
+        if !merged_any {
+            break;
+        }
     }
+    e.finish(started);
+    Ok(())
+}
+
+/// One sequential apply phase of the Paper schedule, in pair order.
+///
+/// A pair whose roots changed under an earlier merge of this phase is
+/// handled once under its current roots. The direct stage (`spill` is
+/// `Some`) hands such a pair to the candidate stage — its exact bounds
+/// no longer hold — and merges every other pair; the candidate stage
+/// merges a pair only when its verdict reaches `δ`. A verdict computed
+/// from a super record that has since grown is re-verified first, so
+/// decisions match a fully sequential pass.
+fn apply(
+    e: &mut Engine,
+    round: usize,
+    pairs: &[(u32, u32)],
+    verdicts: Vec<Verdict>,
+    processed: &mut FxHashSet<(u32, u32)>,
+    mut spill: Option<&mut Vec<(u32, u32)>>,
+) {
+    let direct = spill.is_some();
+    let merges_before = e.stats.merges;
+    let mut touched: FxHashSet<u32> = FxHashSet::default();
+    let mut reverified = StageAgg::default();
+    for (&key, (verdict, delta)) in pairs.iter().zip(&verdicts) {
+        e.bank(delta);
+        let (ri, rj) = (e.uf.find(key.0), e.uf.find(key.1));
+        if ri == rj {
+            continue;
+        }
+        let cur = pair_key(ri, rj);
+        if cur != key {
+            if !processed.insert(cur) {
+                continue;
+            }
+            if let Some(spill) = spill.as_mut() {
+                spill.push(cur);
+                continue;
+            }
+        }
+        let fresh;
+        let v = if cur != key || touched.contains(&cur.0) || touched.contains(&cur.1) {
+            fresh = e.reverify(cur, !direct, &mut reverified);
+            &fresh
+        } else {
+            verdict
+        };
+        if !direct && v.sim < e.config.delta {
+            continue;
+        }
+        // Directly decided pairs are as much evidence for schema
+        // matchings as verified ones (§IV-B).
+        e.vote(round, cur, v);
+        e.merge(round, cur, v);
+        touched.insert(cur.0);
+        touched.insert(cur.1);
+    }
+    e.recorder.span(
+        if direct {
+            "apply_direct"
+        } else {
+            "apply_candidates"
+        },
+        Some(round),
+        &[
+            ("merges", (e.stats.merges - merges_before) as i64),
+            ("reverified", reverified.pairs),
+            ("lookups", reverified.lookups),
+        ],
+    );
 }
 
 #[cfg(test)]

@@ -11,9 +11,12 @@
 //! * [`SchemaVoter`] — majority voting over field-matching predictions
 //!   with the Chernoff-style error bound of Theorem 2 (§IV-B), feeding
 //!   decided attribute matchings back into verification;
-//! * [`Hera`] — the iterative compare-and-merge driver (Algorithm 2) with
-//!   candidate generation, direct decisions, verification, merging, and
-//!   index maintenance;
+//! * one compare-and-merge engine (Algorithm 2: candidate bounds,
+//!   verification, voting, merging, index maintenance) behind two
+//!   schedules — [`Hera`], the batch driver, runs the paper's schedule
+//!   (direct decisions first, every candidate each iteration), and
+//!   [`HeraSession`] runs the ranked, budgeted schedule over streaming
+//!   ingest (see DESIGN.md, "One engine, two schedules");
 //! * [`parallel`] — the scoped worker pool behind the parallel join and
 //!   verification stages (deterministic: results are bit-identical for
 //!   every thread count);
@@ -41,6 +44,7 @@
 pub mod chaos;
 mod config;
 mod driver;
+mod engine;
 pub mod parallel;
 mod session;
 mod simcache;

@@ -4,29 +4,34 @@
 //! The paper's framework is batch: build the index offline, iterate to a
 //! fixpoint. Real heterogeneous sources *stream* — new exports arrive and
 //! should resolve against everything already known without recomputing
-//! from scratch. [`HeraSession`] maintains the algorithm's entire state
-//! (incremental similarity join, value-pair index, super records,
-//! union–find, schema voter) under record insertions:
+//! from scratch. [`HeraSession`] keeps the same compare-and-merge engine
+//! the batch driver runs (value-pair index, super records, union–find,
+//! schema voter, caches) alive across record insertions, next to an
+//! incremental similarity join:
 //!
 //! * [`HeraSession::add_record`] joins the new record's values against
 //!   every live value, extends the index, and lifts the record into a
 //!   super record;
-//! * [`HeraSession::resolve`] runs compare-and-merge to a fixpoint, but
-//!   only over groups touching records that changed since the last call
-//!   (the same dirty-tracking argument the batch driver uses);
+//! * [`HeraSession::resolve`] drives the engine to a fixpoint with the
+//!   Ranked schedule — bound-priority order, one maximal matching of
+//!   root pairs per round, stale verdicts deferred — over the groups
+//!   touching records that changed since the last call;
 //! * decided schema matchings persist across insertions, so the session
 //!   gets *better* at matching heterogeneous schemas as it ages — the
 //!   schema-based method's intended long-run behavior.
+//!
+//! This module holds ingest, checkpoint/restore and the Ranked schedule;
+//! every verify, vote and merge step is the engine's (`engine.rs`).
 
 use crate::config::HeraConfig;
+use crate::engine::{frontier_keys, pair_key, Engine};
 use crate::simcache::SimCache;
 use crate::stats::RunStats;
 use crate::super_record::SuperRecord;
-use crate::verify::{InstanceVerifier, VerifyScratch};
 use crate::voter::{DecidedMatching, SchemaVoter};
 use hera_block::StreamingBlocker;
 use hera_faults::{io_retryable, BackoffPolicy, Clock, FaultInjector, SystemClock};
-use hera_index::{drain_ranked_with, Bounds, UnionFind, ValuePairIndex};
+use hera_index::{UnionFind, ValuePairIndex};
 use hera_join::IncrementalJoin;
 use hera_sim::{TypeDispatch, ValueSimilarity};
 use hera_store::Snapshot;
@@ -223,43 +228,22 @@ struct ProgressiveState {
 /// concurrent access is structured as message passing to the owning
 /// thread, never shared-memory mutation.
 pub struct HeraSession {
-    config: HeraConfig,
-    metric: Arc<dyn ValueSimilarity>,
-    registry: SchemaRegistry,
-    record_count: usize,
-    index: ValuePairIndex,
+    /// The algorithm state and every compare-and-merge step; its
+    /// `stats.iterations` is the monotonic `round` of the session's
+    /// journal events and survives checkpoint/restore.
+    engine: Engine,
     join: IncrementalJoin,
-    supers: FxHashMap<u32, SuperRecord>,
-    uf: UnionFind,
-    voter: SchemaVoter,
-    /// Records whose evidence changed since the last `resolve`.
-    dirty: FxHashSet<u32>,
-    /// Root pairs whose bounds were last computed with `Up < δ` and
-    /// whose inputs have not changed since: the group is unrewritten and
-    /// neither side's informative size moved. The drain counts them as
-    /// pruned without recomputing. Derived state — never checkpointed; a
-    /// restored session starts cold and recomputes, with identical
-    /// results.
-    pruned_memo: FxHashSet<(u32, u32)>,
     /// Streaming blocker gating the incremental join's candidate
     /// universe; `None` when [`HeraConfig::blocking`] is
     /// [`hera_block::BlockingScheme::None`] — that path is byte-for-byte
     /// the historical unfiltered ingest.
     blocker: Option<StreamingBlocker>,
-    /// Merge-aware `metric.sim` memo cache; persists across `resolve`
-    /// calls, so a long-lived session keeps amortizing its metric work.
-    cache: Option<SimCache>,
-    /// Journal recorder (disabled by default).
-    recorder: hera_obs::Recorder,
     /// Fault injector threaded into snapshot IO (disabled by default).
     faults: FaultInjector,
     /// Retry policy for checkpoint writes.
     retry: BackoffPolicy,
     /// Delay source for the retry policy's backoff.
     clock: Arc<dyn Clock>,
-    /// Lifetime counters; `stats.iterations` is the monotonic `round` of
-    /// the session's journal events and survives checkpoint/restore.
-    stats: RunStats,
 }
 
 /// Builder for [`HeraSession`] — the single construction path for every
@@ -334,23 +318,15 @@ impl HeraSessionBuilder {
     pub fn build(self) -> HeraSession {
         HeraSession {
             join: IncrementalJoin::new(self.config.xi, 2, self.metric.clone()),
-            cache: self.config.sim_cache.then(SimCache::new),
             blocker: StreamingBlocker::new(&self.config.blocking),
-            config: self.config,
-            metric: self.metric,
-            registry: SchemaRegistry::new(),
-            record_count: 0,
-            index: ValuePairIndex::default(),
-            supers: FxHashMap::default(),
-            uf: UnionFind::new(0),
-            voter: SchemaVoter::new(),
-            dirty: FxHashSet::default(),
-            pruned_memo: FxHashSet::default(),
-            recorder: self.recorder.unwrap_or_else(hera_obs::Recorder::from_env),
+            engine: Engine::new(
+                self.config,
+                self.metric,
+                self.recorder.unwrap_or_else(hera_obs::Recorder::from_env),
+            ),
             faults: self.faults,
             retry: self.retry,
             clock: self.clock,
-            stats: RunStats::default(),
         }
     }
 
@@ -365,13 +341,14 @@ impl HeraSessionBuilder {
         let start = std::time::Instant::now();
         let (snap, report) = Snapshot::read_report_with(&path, &self.faults)?;
         let mut session = self.build();
+        let e = &mut session.engine;
 
         let snap_xi = snap.expect("config")?.expect("xi")?.as_f64()?;
-        if snap_xi != session.config.xi {
+        if snap_xi != e.config.xi {
             return Err(HeraError::InvalidConfig(format!(
                 "snapshot was taken at xi={snap_xi} but the restore config has xi={}; \
                  the live-value join universe is xi-dependent",
-                session.config.xi
+                e.config.xi
             )));
         }
         // Blocking is likewise universe-shaping: the scheme used at
@@ -381,51 +358,49 @@ impl HeraSessionBuilder {
             Some(j) => j.as_str()?,
             None => "none",
         };
-        if snap_blocking != session.config.blocking.name() {
+        if snap_blocking != e.config.blocking.name() {
             return Err(HeraError::InvalidConfig(format!(
                 "snapshot was taken with blocking '{snap_blocking}' but the restore config \
                  has '{}'; the join's candidate universe is blocking-dependent",
-                session.config.blocking.name()
+                e.config.blocking.name()
             )));
         }
 
-        let mut registry = SchemaRegistry::from_json(snap.expect("registry")?)?;
-        registry.rebuild_lookups();
+        e.registry = SchemaRegistry::from_json(snap.expect("registry")?)?;
+        e.registry.rebuild_lookups();
         let record_count = snap.expect("record_count")?.as_i64()?;
         if record_count < 0 {
             return Err(HeraError::Corrupt("negative record_count".into()));
         }
         let record_count = record_count as usize;
-        let uf = UnionFind::from_json(snap.expect("union_find")?)?;
-        if uf.len() != record_count {
+        e.uf = UnionFind::from_json(snap.expect("union_find")?)?;
+        if e.uf.len() != record_count {
             return Err(HeraError::Corrupt(format!(
                 "union-find covers {} records, snapshot has {record_count}",
-                uf.len()
+                e.uf.len()
             )));
         }
-        let mut supers: FxHashMap<u32, SuperRecord> = FxHashMap::default();
         for s_json in snap.expect("supers")?.as_arr()? {
             let s = SuperRecord::from_json(s_json)?;
-            if (s.rid as usize) >= record_count || uf.find_const(s.rid) != s.rid {
+            if (s.rid as usize) >= record_count || e.uf.find_const(s.rid) != s.rid {
                 return Err(HeraError::Corrupt(format!(
                     "super record {} is not a live union-find root",
                     s.rid
                 )));
             }
-            supers.insert(s.rid, s);
+            e.supers.insert(s.rid, s);
         }
         for rid in 0..record_count as u32 {
-            let root = uf.find_const(rid);
-            if !supers.contains_key(&root) {
+            let root = e.uf.find_const(rid);
+            if !e.supers.contains_key(&root) {
                 return Err(HeraError::Corrupt(format!(
                     "record {rid} resolves to root {root} with no super record"
                 )));
             }
         }
-        let index = ValuePairIndex::from_json(snap.expect("index")?)?;
-        let join = IncrementalJoin::from_json(snap.expect("join")?, session.metric.clone())?;
-        let voter = SchemaVoter::from_json(snap.expect("voter")?)?;
-        let mut dirty = FxHashSet::default();
+        e.index = ValuePairIndex::from_json(snap.expect("index")?)?;
+        session.join = IncrementalJoin::from_json(snap.expect("join")?, e.metric.clone())?;
+        e.voter = SchemaVoter::from_json(snap.expect("voter")?)?;
         for d in snap.expect("dirty")?.as_arr()? {
             let rid = d.as_u32()?;
             if rid as usize >= record_count {
@@ -433,24 +408,19 @@ impl HeraSessionBuilder {
                     "dirty record {rid} out of range"
                 )));
             }
-            dirty.insert(rid);
+            e.dirty.insert(rid);
         }
-        let stats = RunStats::from_json(snap.expect("stats")?)?;
+        e.stats = RunStats::from_json(snap.expect("stats")?)?;
         // The cache is state *and* policy: restore it only when this
         // config runs with the cache on. A cache-off snapshot restored
         // into a cache-on config simply starts the memo empty.
-        let cache = if session.config.sim_cache {
-            match snap.get("sim_cache") {
-                Some(j) => Some(SimCache::from_json(j)?),
-                None => Some(SimCache::new()),
-            }
-        } else {
-            None
-        };
+        if let (Some(_), Some(j)) = (&e.cache, snap.get("sim_cache")) {
+            e.cache = Some(SimCache::from_json(j)?);
+        }
 
         match snap.get("blocker") {
             Some(j) => {
-                session.blocker = Some(StreamingBlocker::from_json(&session.config.blocking, j)?);
+                session.blocker = Some(StreamingBlocker::from_json(&e.config.blocking, j)?);
             }
             None => {
                 if session.blocker.is_some() {
@@ -460,17 +430,7 @@ impl HeraSessionBuilder {
                 }
             }
         }
-        session.registry = registry;
-        session.record_count = record_count;
-        session.index = index;
-        session.join = join;
-        session.supers = supers;
-        session.uf = uf;
-        session.voter = voter;
-        session.dirty = dirty;
-        session.cache = cache;
-        session.stats = stats;
-        session.recorder.span(
+        e.recorder.span(
             "checkpoint_load",
             None,
             &[
@@ -478,10 +438,8 @@ impl HeraSessionBuilder {
                 ("sections", report.sections as i64),
             ],
         );
-        session
-            .recorder
-            .timing("checkpoint_load", None, start.elapsed());
-        session.recorder.flush();
+        e.recorder.timing("checkpoint_load", None, start.elapsed());
+        e.recorder.flush();
         Ok(session)
     }
 }
@@ -531,7 +489,8 @@ impl HeraSession {
             attempts: e.attempts,
             cause: Box::new(e.error),
         })?;
-        self.recorder.span(
+        let rec = &self.engine.recorder;
+        rec.span(
             "checkpoint_save",
             None,
             &[
@@ -542,7 +501,7 @@ impl HeraSession {
         if attempts > 1 {
             // Host-dependent robustness detail, not part of the
             // deterministic core journal.
-            self.recorder.emit_diag(
+            rec.emit_diag(
                 "diag",
                 vec![
                     ("what", Json::Str("checkpoint_retries".into())),
@@ -550,52 +509,52 @@ impl HeraSession {
                 ],
             );
         }
-        self.recorder
-            .timing("checkpoint_save", None, start.elapsed());
-        self.recorder.flush();
+        rec.timing("checkpoint_save", None, start.elapsed());
+        rec.flush();
         Ok(())
     }
 
     /// Assembles the snapshot sections. Every map is emitted in sorted
     /// order so identical sessions produce identical bytes.
     fn to_snapshot(&self) -> Snapshot {
+        let e = &self.engine;
         let mut snap = Snapshot::new();
         snap.insert(
             "config",
             Json::Obj(vec![
-                ("xi".into(), Json::Float(self.config.xi)),
-                ("sim_cache".into(), Json::Bool(self.config.sim_cache)),
+                ("xi".into(), Json::Float(e.config.xi)),
+                ("sim_cache".into(), Json::Bool(e.config.sim_cache)),
                 (
                     "blocking".into(),
-                    Json::Str(self.config.blocking.name().into()),
+                    Json::Str(e.config.blocking.name().into()),
                 ),
             ]),
         );
         if let Some(b) = &self.blocker {
             snap.insert("blocker", b.to_json());
         }
-        snap.insert("registry", self.registry.to_json());
-        snap.insert("record_count", Json::Int(self.record_count as i64));
-        let mut roots: Vec<&SuperRecord> = self.supers.values().collect();
+        snap.insert("registry", e.registry.to_json());
+        snap.insert("record_count", Json::Int(e.uf.len() as i64));
+        let mut roots: Vec<&SuperRecord> = e.supers.values().collect();
         roots.sort_unstable_by_key(|s| s.rid);
         snap.insert(
             "supers",
             Json::Arr(roots.iter().map(|s| s.to_json()).collect()),
         );
-        snap.insert("union_find", self.uf.to_json());
-        snap.insert("index", self.index.to_json());
+        snap.insert("union_find", e.uf.to_json());
+        snap.insert("index", e.index.to_json());
         snap.insert("join", self.join.to_json());
-        snap.insert("voter", self.voter.to_json());
-        if let Some(c) = &self.cache {
+        snap.insert("voter", e.voter.to_json());
+        if let Some(c) = &e.cache {
             snap.insert("sim_cache", c.to_json());
         }
-        let mut dirty: Vec<u32> = self.dirty.iter().copied().collect();
+        let mut dirty: Vec<u32> = e.dirty.iter().copied().collect();
         dirty.sort_unstable();
         snap.insert(
             "dirty",
             Json::Arr(dirty.into_iter().map(|r| Json::Int(r as i64)).collect()),
         );
-        snap.insert("stats", self.stats.to_json());
+        snap.insert("stats", e.stats.to_json());
         snap
     }
 
@@ -606,7 +565,7 @@ impl HeraSession {
         name: impl Into<String>,
         attrs: I,
     ) -> SchemaId {
-        self.registry.add_schema(name, attrs)
+        self.engine.registry.add_schema(name, attrs)
     }
 
     /// Ingests one record under a registered schema: its values join
@@ -615,43 +574,22 @@ impl HeraSession {
     /// into entities (per record for lowest latency, or in batches for
     /// throughput).
     pub fn add_record(&mut self, schema: SchemaId, values: Vec<Value>) -> Result<RecordId> {
-        if schema.index() >= self.registry.len() {
+        let e = &mut self.engine;
+        if schema.index() >= e.registry.len() {
             return Err(HeraError::UnknownId(format!("{schema}")));
         }
-        let expected = self.registry.schema(schema).arity();
+        let expected = e.registry.schema(schema).arity();
         if values.len() != expected {
             return Err(HeraError::ArityMismatch {
-                record: self.record_count as u32,
+                record: e.uf.len() as u32,
                 expected,
                 actual: values.len(),
             });
         }
-        let rid = self.record_count as u32;
-        self.record_count += 1;
-        let pushed = self.uf.push();
-        debug_assert_eq!(pushed, rid);
-
-        // Lift into a super record (tracking attribute provenance).
-        let schema_ref = self.registry.schema(schema);
-        let fields: Vec<crate::super_record::Field> = values
-            .iter()
-            .zip(&schema_ref.attrs)
-            .map(|(v, a)| crate::super_record::Field {
-                values: if v.is_null() {
-                    Vec::new()
-                } else {
-                    vec![v.clone()]
-                },
-                attrs: vec![a.id],
-            })
-            .collect();
-        self.supers.insert(
+        let rid = e.uf.push();
+        e.supers.insert(
             rid,
-            SuperRecord {
-                rid,
-                fields,
-                members: vec![rid],
-            },
+            SuperRecord::lift(rid, e.registry.schema(schema), &values),
         );
 
         // With blocking on, the record's co-blocked candidates bound the
@@ -663,7 +601,7 @@ impl HeraSession {
         // blocked insert cost tracks the co-blocked neighborhood instead
         // of the live-value universe.
         let allowed: Option<Vec<u32>> = self.blocker.as_mut().map(|b| {
-            let uf = &mut self.uf;
+            let uf = &mut e.uf;
             let mut roots: Vec<u32> = b
                 .admit(rid, &values)
                 .into_iter()
@@ -688,11 +626,11 @@ impl HeraSession {
             }
         }
         for p in &new_pairs {
-            self.dirty.insert(p.a.rid);
-            self.dirty.insert(p.b.rid);
-            self.pruned_memo.remove(&(p.a.rid, p.b.rid));
+            e.dirty.insert(p.a.rid);
+            e.dirty.insert(p.b.rid);
+            e.pruned_memo.remove(&(p.a.rid, p.b.rid));
         }
-        self.index.extend(new_pairs);
+        e.index.extend(new_pairs);
         Ok(RecordId::new(rid))
     }
 
@@ -800,10 +738,9 @@ impl HeraSession {
     /// verified at least one pair. This is the cost model behind
     /// [`ResolveBudget::wall_clock`]'s per-round cap.
     pub fn per_comparison_cost(&self) -> Option<Duration> {
-        (self.stats.comparisons > 0).then(|| {
-            Duration::from_secs_f64(
-                self.stats.verify_time.as_secs_f64() / self.stats.comparisons as f64,
-            )
+        let stats = &self.engine.stats;
+        (stats.comparisons > 0).then(|| {
+            Duration::from_secs_f64(stats.verify_time.as_secs_f64() / stats.comparisons as f64)
         })
     }
 
@@ -812,8 +749,9 @@ impl HeraSession {
     /// threads through.
     fn progressive_start(&mut self, budget: ResolveBudget) -> ProgressiveState {
         let started = Instant::now();
-        self.stats.threads = crate::parallel::effective_threads(self.config.num_threads);
-        self.stats.index_size = self.stats.index_size.max(self.index.len());
+        let e = &mut self.engine;
+        e.stats.threads = e.threads;
+        e.stats.index_size = e.stats.index_size.max(e.index.len());
         ProgressiveState {
             report: ProgressiveReport::default(),
             iterations: 0,
@@ -826,10 +764,10 @@ impl HeraSession {
         }
     }
 
-    /// Runs one resolve round (phase A verify + phase B apply) against
-    /// `st`, reporting each applied merge through `on_merge`. Returns
-    /// `false` when the call is over — fixpoint reached, iteration cap
-    /// hit, or a budget ran out — after which
+    /// Runs one round of the Ranked schedule (phase A verify + phase B
+    /// apply) against `st`, reporting each applied merge through
+    /// `on_merge`. Returns `false` when the call is over — fixpoint
+    /// reached, iteration cap hit, or a budget ran out — after which
     /// [`HeraSession::progressive_finish`] must seal the call exactly
     /// once.
     fn progressive_round(
@@ -838,12 +776,12 @@ impl HeraSession {
         st: &mut ProgressiveState,
         on_merge: &mut dyn FnMut(MergeEvent),
     ) -> bool {
-        let cfg = self.config.clone();
-        let rec = self.recorder.clone();
-        let verifier = InstanceVerifier::new(self.metric.as_ref(), cfg.xi, cfg.use_kuhn_munkres);
-        let threads = crate::parallel::effective_threads(cfg.num_threads);
+        // Only the verify phase moves the cost model, so its value at
+        // round start is the one the wall-clock cap below uses.
+        let per_comparison_cost = self.per_comparison_cost();
+        let e = &mut self.engine;
         let epoch_of = |epochs: &FxHashMap<u32, u32>, r: u32| epochs.get(&r).copied().unwrap_or(0);
-        if self.dirty.is_empty() || st.iterations >= cfg.max_iterations {
+        if e.dirty.is_empty() || st.iterations >= e.config.max_iterations {
             return false;
         }
         // A merge budget met between rounds stops before the next
@@ -869,339 +807,185 @@ impl HeraSession {
             voter_epoch,
             ..
         } = st;
-        {
-            self.stats.iterations += 1;
-            let round = self.stats.iterations;
-            let round_merges_before = self.stats.merges;
-            let round_metric_before = self.stats.metric_sim_calls;
-            let ts = Instant::now();
-            let dirty = std::mem::take(&mut self.dirty);
+        let round = e.begin_round();
+        let ts = Instant::now();
+        let dirty = std::mem::take(&mut e.dirty);
 
-            // Phase A: collect the frontier's root pairs, then drain them
-            // from the index in bound-priority order (pruning Up < δ),
-            // and verify the survivors in parallel against the
-            // iteration-start state (verification is read-only).
-            let mut keys = frontier_keys(&self.index, &dirty);
-            keys.retain(|key| {
-                !decided.get(key).is_some_and(|&(ea, eb, ev)| {
-                    ea == epoch_of(merge_epoch, key.0)
-                        && eb == epoch_of(merge_epoch, key.1)
-                        && ev == *voter_epoch
-                })
-            });
-            let (mut memo_hits, mut memo_misses) = (0i64, 0i64);
-            let (ranked, pruned) = {
-                let (index, supers, memo) = (&self.index, &self.supers, &mut self.pruned_memo);
-                let bounds = |a: u32, b: u32| -> Bounds {
-                    let size = |r: u32| supers[&r].informative_size();
-                    index.bounds(a, b, size(a), size(b), cfg.bound_mode)
-                };
-                drain_ranked_with(
-                    &keys,
-                    |a, b| {
-                        if memo.contains(&(a, b)) {
-                            debug_assert!(
-                                bounds(a, b).up < cfg.delta,
-                                "pruned-pair memo hit ({a}, {b}) no longer prunes"
-                            );
-                            memo_hits += 1;
-                            return None;
-                        }
-                        memo_misses += 1;
-                        let computed = bounds(a, b);
-                        if computed.up < cfg.delta {
-                            memo.insert((a, b));
-                        }
-                        Some(computed)
-                    },
-                    |r| supers[&r].members.len() as u64,
-                    cfg.delta,
-                )
-            };
-            self.stats.pruned += pruned;
-            if rec.enabled() {
-                // Host-side cache traffic: a restored session starts with a
-                // cold memo, so these counts stay out of the core journal.
-                rec.emit_diag(
-                    "diag",
-                    vec![
-                        ("what", Json::Str("pruned_memo".into())),
-                        ("round", Json::Int(round as i64)),
-                        ("hits", Json::Int(memo_hits)),
-                        ("misses", Json::Int(memo_misses)),
-                    ],
+        // Phase A: collect the frontier's root pairs (minus those
+        // already decided on unchanged evidence), then drain them in
+        // bound-priority order, pruning Up < δ.
+        let mut keys = frontier_keys(&e.index, &dirty);
+        keys.retain(|key| {
+            !decided.get(key).is_some_and(|&(ea, eb, ev)| {
+                ea == epoch_of(merge_epoch, key.0)
+                    && eb == epoch_of(merge_epoch, key.1)
+                    && ev == *voter_epoch
+            })
+        });
+        let ranked = e.drain_ranked(&keys, round.n);
+
+        // Round schedule: the maximal-matching prefix of the ranked
+        // list, cut at the ROUND_FOCUS priority floor and capped at
+        // ROUND_CHUNK. Skipping a candidate whose root is already
+        // claimed this round costs nothing — it defers back to the
+        // frontier unverified — whereas verifying it would burn a
+        // comparison on a verdict guaranteed to go stale under the
+        // earlier, higher-priority merge (a big fragment's pairs all
+        // share its root, so an unfiltered chunk buys one merge per
+        // chunk). The schedule is a pure function of the ranked
+        // list; the budget only truncates it, and only the budget's
+        // cut marks exhaustion.
+        let floor = ranked.first().map_or(0.0, |c| ROUND_FOCUS * c.priority());
+        let mut claimed: FxHashSet<u32> = FxHashSet::default();
+        let mut selected: Vec<(u32, u32)> = Vec::new();
+        let mut unselected: Vec<(u32, u32)> = Vec::new();
+        for c in &ranked {
+            if selected.len() >= ROUND_CHUNK
+                || c.priority() < floor
+                || claimed.contains(&c.pair.0)
+                || claimed.contains(&c.pair.1)
+            {
+                unselected.push(c.pair);
+                continue;
+            }
+            claimed.insert(c.pair.0);
+            claimed.insert(c.pair.1);
+            selected.push(c.pair);
+        }
+        let mut cap = match budget.comparisons {
+            Some(c) => (c.saturating_sub(report.comparisons_spent) as usize).min(selected.len()),
+            None => selected.len(),
+        };
+        // Wall-clock budgets additionally cap the round at the
+        // number of verifications the cost model predicts still fit
+        // before the deadline. Host timing feeds both inputs, so
+        // this cut — unlike the two counters above — is best-effort
+        // rather than bit-exact (see [`ResolveBudget::wall_clock`]).
+        if let Some(d) = deadline {
+            let remaining = d.saturating_duration_since(Instant::now());
+            if remaining.is_zero() {
+                cap = 0;
+            } else if let Some(per) = per_comparison_cost {
+                if !per.is_zero() {
+                    let affordable = (remaining.as_secs_f64() / per.as_secs_f64()).floor() as usize;
+                    cap = cap.min(affordable);
+                }
+            }
+        }
+        let verify_list = &selected[..cap];
+        e.recorder
+            .timing("resolve_schedule", Some(round.n), ts.elapsed());
+        let verdicts = e.verify_all(verify_list, "resolve_verify", round.n, true);
+        report.comparisons_spent += verdicts.len() as u64;
+
+        // Phase B: apply sequentially in candidate (priority) order.
+        // The matching filter guarantees no two candidates share a
+        // root, so verdicts cannot go stale within the phase; the
+        // stale branch below stays as a defensive safeguard (a stale
+        // pair defers to the next round rather than merging on
+        // outdated evidence).
+        let ta = Instant::now();
+        let mut processed: Option<FxHashSet<(u32, u32)>> = None;
+        let mut touched: FxHashSet<u32> = FxHashSet::default();
+        let mut deferred_stale = 0i64;
+        let deferred_before = report.comparisons_deferred;
+        for (&key, (v, delta)) in verify_list.iter().zip(&verdicts) {
+            e.bank(delta);
+            let (ri, rj) = (e.uf.find(key.0), e.uf.find(key.1));
+            if ri == rj {
+                continue;
+            }
+            let cur = pair_key(ri, rj);
+            if cur != key
+                && !processed
+                    .get_or_insert_with(|| keys.iter().copied().collect())
+                    .insert(cur)
+            {
+                continue;
+            }
+            if cur != key || touched.contains(&cur.0) || touched.contains(&cur.1) {
+                e.dirty.insert(cur.0);
+                e.dirty.insert(cur.1);
+                deferred_stale += 1;
+                continue;
+            }
+            if v.sim < e.config.delta {
+                // A below-δ verdict consumes no merge budget, so a
+                // mid-phase merge cut still banks it — its comparison
+                // was already spent and the decision is
+                // budget-independent.
+                decided.insert(
+                    cur,
+                    (
+                        epoch_of(merge_epoch, cur.0),
+                        epoch_of(merge_epoch, cur.1),
+                        *voter_epoch,
+                    ),
                 );
+                continue;
             }
+            if budget.merges.is_some_and(|m| report.merges as u64 >= m) {
+                // Verified, would merge, but the merge budget is spent:
+                // the pair returns to the frontier undecided and a
+                // following call re-verifies it. Its comparison is
+                // already in comparisons_spent; count the write-off so
+                // the waste is observable.
+                e.dirty.insert(cur.0);
+                e.dirty.insert(cur.1);
+                report.comparisons_deferred += 1;
+                continue;
+            }
+            if e.vote(round.n, cur, v) {
+                // New matchings can flip any pair's verdict, not just
+                // the merging pair's: stale every memo.
+                *voter_epoch += 1;
+            }
+            let remap = e.merge(round.n, cur, v);
+            self.join.relabel(cur.0, cur.1, |l| remap.apply(l));
+            *merge_epoch.entry(cur.0).or_insert(0) += 1;
+            touched.insert(cur.0);
+            touched.insert(cur.1);
+            report.merges += 1;
+            on_merge(MergeEvent {
+                winner: cur.0,
+                loser: cur.1,
+                confidence: v.sim,
+                comparisons_spent: report.comparisons_spent,
+            });
+        }
+        e.recorder
+            .timing("resolve_apply", Some(round.n), ta.elapsed());
+        e.recorder.span(
+            "resolve_apply",
+            Some(round.n),
+            &[
+                ("merges", e.merges_since(&round) as i64),
+                ("deferred_stale", deferred_stale),
+            ],
+        );
+        // `resolve` has no error channel: a broken invariant under
+        // `validate_index` (a test/debug aid) panics with the message
+        // the batch driver returns as `HeraError::Corrupt`.
+        if let Err(err) = e.end_round(&round) {
+            panic!("{err}");
+        }
 
-            // Round schedule: the maximal-matching prefix of the ranked
-            // list, cut at the ROUND_FOCUS priority floor and capped at
-            // ROUND_CHUNK. Skipping a candidate whose root is already
-            // claimed this round costs nothing — it defers back to the
-            // frontier unverified — whereas verifying it would burn a
-            // comparison on a verdict guaranteed to go stale under the
-            // earlier, higher-priority merge (a big fragment's pairs all
-            // share its root, so an unfiltered chunk buys one merge per
-            // chunk). The schedule is a pure function of the ranked
-            // list; the budget only truncates it, and only the budget's
-            // cut marks exhaustion.
-            let floor = ranked.first().map_or(0.0, |c| ROUND_FOCUS * c.priority());
-            let mut claimed: FxHashSet<u32> = FxHashSet::default();
-            let mut selected: Vec<(u32, u32)> = Vec::new();
-            let mut unselected: Vec<(u32, u32)> = Vec::new();
-            for c in &ranked {
-                if selected.len() >= ROUND_CHUNK
-                    || c.priority() < floor
-                    || claimed.contains(&c.pair.0)
-                    || claimed.contains(&c.pair.1)
-                {
-                    unselected.push(c.pair);
-                    continue;
-                }
-                claimed.insert(c.pair.0);
-                claimed.insert(c.pair.1);
-                selected.push(c.pair);
-            }
-            let mut cap = match budget.comparisons {
-                Some(c) => {
-                    (c.saturating_sub(report.comparisons_spent) as usize).min(selected.len())
-                }
-                None => selected.len(),
-            };
-            // Wall-clock budgets additionally cap the round at the
-            // number of verifications the cost model predicts still fit
-            // before the deadline. Host timing feeds both inputs, so
-            // this cut — unlike the two counters above — is best-effort
-            // rather than bit-exact (see [`ResolveBudget::wall_clock`]).
-            if let Some(d) = deadline {
-                let remaining = d.saturating_duration_since(Instant::now());
-                if remaining.is_zero() {
-                    cap = 0;
-                } else if let Some(per) = self.per_comparison_cost() {
-                    if !per.is_zero() {
-                        let affordable =
-                            (remaining.as_secs_f64() / per.as_secs_f64()).floor() as usize;
-                        cap = cap.min(affordable);
-                    }
-                }
-            }
-            let verify_list: Vec<(u32, u32)> = selected[..cap].to_vec();
-            rec.timing("resolve_schedule", Some(round), ts.elapsed());
-            let tv = std::time::Instant::now();
-            let verifications = {
-                let (index, supers, registry, cache) =
-                    (&self.index, &self.supers, &self.registry, &self.cache);
-                let voter_opt = cfg.schema_voting.then_some(&self.voter);
-                crate::parallel::par_map_with(
-                    threads,
-                    &verify_list,
-                    VerifyScratch::new,
-                    |scratch, &(a, b)| {
-                        let v = verifier.verify_with(
-                            index,
-                            &supers[&a],
-                            &supers[&b],
-                            registry,
-                            voter_opt,
-                            cache.as_ref(),
-                            scratch,
-                        );
-                        (v, std::mem::take(&mut scratch.delta))
-                    },
-                )
-            };
-            let tv_elapsed = tv.elapsed();
-            self.stats.verify_time += tv_elapsed;
-            // Per-worker aggregation: verdicts are in input order for
-            // every thread count, so one fold gives a deterministic span.
-            let mut verify_agg = crate::driver::StageAgg::default();
-            for (v, delta) in &verifications {
-                self.stats.comparisons += 1;
-                self.stats.simplified_nodes_sum += v.simplified_nodes;
-                self.stats.graph_nodes_sum += v.graph_nodes;
-                self.stats.matchings_run += 1;
-                self.stats.record_cache_delta(delta);
-                verify_agg.add(v, delta);
-            }
-            report.comparisons_spent += verifications.len() as u64;
-            verify_agg.emit(&rec, "resolve_verify", round);
-            rec.timing("resolve_verify", Some(round), tv_elapsed);
-
-            // Phase B: apply sequentially in candidate (priority) order.
-            // The matching filter guarantees no two candidates share a
-            // root, so verdicts cannot go stale within the phase; the
-            // stale branch below stays as a defensive safeguard (a stale
-            // pair defers to the next round rather than merging on
-            // outdated evidence).
-            let ta = Instant::now();
-            let mut processed: Option<FxHashSet<(u32, u32)>> = None;
-            let mut touched: FxHashSet<u32> = FxHashSet::default();
-            let mut deferred_stale = 0i64;
-            let deferred_before = report.comparisons_deferred;
-            for (idx, &key) in verify_list.iter().enumerate() {
-                // Memoize this snapshot verdict's metric calls even if
-                // the verdict goes stale below — the fills are exact
-                // metric outputs, so the deferred re-verification next
-                // round reuses them. Fills naming a since-folded record
-                // are filtered out (only root labels stay valid).
-                if let Some(c) = self.cache.as_mut() {
-                    let uf = &self.uf;
-                    c.apply_if(&verifications[idx].1, |l| uf.find_const(l.rid) == l.rid);
-                }
-                let (ri, rj) = (self.uf.find(key.0), self.uf.find(key.1));
-                if ri == rj {
-                    continue;
-                }
-                let cur = (ri.min(rj), ri.max(rj));
-                if cur != key
-                    && !processed
-                        .get_or_insert_with(|| keys.iter().copied().collect())
-                        .insert(cur)
-                {
-                    continue;
-                }
-                if cur != key || touched.contains(&cur.0) || touched.contains(&cur.1) {
-                    self.dirty.insert(cur.0);
-                    self.dirty.insert(cur.1);
-                    deferred_stale += 1;
-                    continue;
-                }
-                let v = &verifications[idx].0;
-                if v.sim < cfg.delta {
-                    // A below-δ verdict consumes no merge budget, so a
-                    // mid-phase merge cut still banks it — its
-                    // comparison was already spent and the decision is
-                    // budget-independent.
-                    decided.insert(
-                        cur,
-                        (
-                            epoch_of(merge_epoch, cur.0),
-                            epoch_of(merge_epoch, cur.1),
-                            *voter_epoch,
-                        ),
-                    );
-                    continue;
-                }
-                if budget.merges.is_some_and(|m| report.merges as u64 >= m) {
-                    // Verified, would merge, but the merge budget is
-                    // spent: the pair returns to the frontier undecided
-                    // and a following call re-verifies it. Its
-                    // comparison is already in comparisons_spent;
-                    // count the write-off so the waste is observable.
-                    self.dirty.insert(cur.0);
-                    self.dirty.insert(cur.1);
-                    report.comparisons_deferred += 1;
-                    continue;
-                }
-                if cfg.schema_voting {
-                    for &(lf, rf, _) in v.predicted() {
-                        let left = &self.supers[&cur.0];
-                        let right = &self.supers[&cur.1];
-                        // Collect votes before mutating.
-                        let la = left.fields[lf as usize].attrs.clone();
-                        let ra = right.fields[rf as usize].attrs.clone();
-                        for a in &la {
-                            for b in &ra {
-                                self.voter.add_vote(&self.registry, *a, *b);
-                            }
-                        }
-                    }
-                    let fresh =
-                        self.voter
-                            .decide(cfg.vote_prior, cfg.vote_error_threshold, cfg.vote_min_n);
-                    self.stats.schema_matchings_decided += fresh.len();
-                    if !fresh.is_empty() {
-                        // New matchings can flip any pair's verdict, not
-                        // just the merging pair's: stale every memo.
-                        *voter_epoch += 1;
-                    }
-                    if rec.enabled() {
-                        for d in &fresh {
-                            rec.schema_decided(
-                                round,
-                                &self.registry.attr_qualified_name(d.attr),
-                                &self.registry.attr_qualified_name(d.partner),
-                                d.up_error(),
-                            );
-                        }
-                    }
-                }
-                // Merge.
-                rec.merge(round, cur.0, cur.1, v.sim, v.matching.len());
-                let k = self.uf.union(cur.0, cur.1);
-                debug_assert_eq!(k, cur.0);
-                let loser = self.supers.remove(&cur.1).expect("loser exists");
-                let winner = self.supers.get_mut(&cur.0).expect("winner exists");
-                let matching: Vec<(u32, u32)> =
-                    v.matching.iter().map(|&(l, r, _)| (l, r)).collect();
-                let winner_size = winner.informative_size();
-                let remap = winner.absorb(&loser, &matching);
-                let winner_grew = winner.informative_size() != winner_size;
-                // Bounds move only where the merge rewrites a group (the
-                // loser's, re-homed under the winner) or resizes a side.
-                self.pruned_memo.remove(&cur);
-                for p in self.index.partners(cur.1) {
-                    self.pruned_memo.remove(&pair_key(cur.1, p));
-                    self.pruned_memo.remove(&pair_key(cur.0, p));
-                }
-                self.index.merge(cur.0, cur.1, k, |l| remap.apply(l));
-                if winner_grew {
-                    for p in self.index.partners(cur.0) {
-                        self.pruned_memo.remove(&pair_key(cur.0, p));
-                    }
-                }
-                if let Some(c) = self.cache.as_mut() {
-                    c.merge(cur.0, cur.1, k, |l| remap.apply(l));
-                }
-                self.join.relabel(cur.0, cur.1, |l| remap.apply(l));
-                *merge_epoch.entry(cur.0).or_insert(0) += 1;
-                self.dirty.insert(k);
-                touched.insert(cur.0);
-                touched.insert(cur.1);
-                report.merges += 1;
-                self.stats.merges += 1;
-                on_merge(MergeEvent {
-                    winner: cur.0,
-                    loser: cur.1,
-                    confidence: v.sim,
-                    comparisons_spent: report.comparisons_spent,
-                });
-            }
-            rec.timing("resolve_apply", Some(round), ta.elapsed());
-            self.stats
-                .metric_calls_by_round
-                .push(self.stats.metric_sim_calls - round_metric_before);
-            rec.span(
-                "resolve_apply",
-                Some(round),
-                &[
-                    ("merges", (self.stats.merges - round_merges_before) as i64),
-                    ("deferred_stale", deferred_stale),
-                ],
-            );
-            rec.round_end(
-                round,
-                (self.stats.merges - round_merges_before) as i64,
-                self.index.len() as i64,
-                self.voter.open_buckets() as i64,
-            );
-
-            // Return every unprocessed candidate to the frontier by
-            // re-marking its current roots dirty — the next round (or the
-            // next call) regenerates and re-ranks them. Only a *budget*
-            // cut ends the call: the chunk cut just rolls into the next
-            // round. Either way the session state is a clean resume
-            // boundary.
-            let budget_truncated =
-                cap < selected.len() || report.comparisons_deferred > deferred_before;
-            let deferred_pairs = selected[cap..].iter().chain(&unselected).copied();
-            for (a, b) in deferred_pairs {
-                self.dirty.insert(self.uf.find(a));
-                self.dirty.insert(self.uf.find(b));
-            }
-            if budget_truncated {
-                report.exhausted = true;
-                return false;
-            }
+        // Return every unprocessed candidate to the frontier by
+        // re-marking its current roots dirty — the next round (or the
+        // next call) regenerates and re-ranks them. Only a *budget*
+        // cut ends the call: the chunk cut just rolls into the next
+        // round. Either way the session state is a clean resume
+        // boundary.
+        let budget_truncated =
+            cap < selected.len() || report.comparisons_deferred > deferred_before;
+        for &(a, b) in selected[cap..].iter().chain(&unselected) {
+            let (ra, rb) = (e.uf.find(a), e.uf.find(b));
+            e.dirty.insert(ra);
+            e.dirty.insert(rb);
+        }
+        if budget_truncated {
+            report.exhausted = true;
+            return false;
         }
         true
     }
@@ -1215,14 +999,15 @@ impl HeraSession {
             return;
         }
         st.finished = true;
+        let e = &mut self.engine;
         let report = &mut st.report;
-        if !self.dirty.is_empty() {
+        if !e.dirty.is_empty() {
             // Either a budget cut above (already flagged) or the
             // max_iterations elbow: work remains, so a partial result
             // must never read as a fixpoint.
             report.exhausted = true;
         }
-        report.frontier = self.dirty.len();
+        report.frontier = e.dirty.len();
         if budget.is_bounded() {
             // One deterministic summary event per bounded call; its
             // counters are pure functions of session state + budget, so
@@ -1230,9 +1015,9 @@ impl HeraSession {
             // wall-clock-only budget still gets the span, but its
             // counters then depend on where host timing cut the
             // schedule.)
-            self.recorder.span(
+            e.recorder.span(
                 "progressive",
-                Some(self.stats.iterations),
+                Some(e.stats.iterations),
                 &[
                     ("budget_spent", report.comparisons_spent as i64),
                     ("merges_emitted", report.merges as i64),
@@ -1242,13 +1027,8 @@ impl HeraSession {
                 ],
             );
         }
-        self.stats.final_index_size = self.index.len();
-        if let Some(c) = &self.cache {
-            self.stats.sim_cache_size = c.len();
-            self.stats.sim_cache_invalidated = c.invalidated();
-        }
-        self.stats.resolve_time += st.started.elapsed();
-        self.recorder.flush();
+        e.finish(st.started);
+        e.recorder.flush();
     }
 
     /// Candidate root pairs currently pending on the frontier: pairs in
@@ -1257,14 +1037,14 @@ impl HeraSession {
     /// first. Read-only and deterministic; costs one bounds computation
     /// per frontier pair.
     pub fn frontier_len(&self) -> usize {
-        let supers = &self.supers;
-        self.index
+        let e = &self.engine;
+        e.index
             .drain_ranked(
-                &frontier_keys(&self.index, &self.dirty),
-                |r| supers[&r].informative_size(),
-                |r| supers[&r].members.len() as u64,
-                self.config.bound_mode,
-                self.config.delta,
+                &frontier_keys(&e.index, &e.dirty),
+                |r| e.supers[&r].informative_size(),
+                |r| e.supers[&r].members.len() as u64,
+                e.config.bound_mode,
+                e.config.delta,
             )
             .0
             .len()
@@ -1277,12 +1057,13 @@ impl HeraSession {
     /// `tests/progressive.rs` property-tests (it is what catches a
     /// schedule that silently skips an emergent merge).
     pub fn mark_all_dirty(&mut self) {
-        self.dirty.extend(self.supers.keys().copied());
+        let e = &mut self.engine;
+        e.dirty.extend(e.supers.keys().copied());
     }
 
     /// Current entity label (super-record rid) of a record.
     pub fn entity_of(&self, rid: RecordId) -> u32 {
-        self.uf.find_const(rid.raw())
+        self.engine.uf.find_const(rid.raw())
     }
 
     /// Member record ids of the entity labeled `label`, in merge order
@@ -1290,27 +1071,27 @@ impl HeraSession {
     /// `None` when `label` is not a live entity label. O(1) — reads the
     /// super record.
     pub fn entity_members(&self, label: u32) -> Option<&[u32]> {
-        self.supers.get(&label).map(|s| s.members.as_slice())
+        self.engine.supers.get(&label).map(|s| s.members.as_slice())
     }
 
     /// All records grouped by current entity.
     pub fn clusters(&mut self) -> Vec<Vec<u32>> {
-        self.uf.clusters()
+        self.engine.uf.clusters()
     }
 
     /// Number of records ingested.
     pub fn len(&self) -> usize {
-        self.record_count
+        self.engine.uf.len()
     }
 
     /// True if no records were ingested.
     pub fn is_empty(&self) -> bool {
-        self.record_count == 0
+        self.len() == 0
     }
 
     /// Total merges performed so far.
     pub fn merge_count(&self) -> usize {
-        self.stats.merges
+        self.engine.stats.merges
     }
 
     /// Lifetime run statistics (iterations, comparisons, cache traffic,
@@ -1318,53 +1099,29 @@ impl HeraSession {
     /// restore, so a restored-and-continued session reports the same
     /// numbers an uninterrupted one would.
     pub fn stats(&self) -> &RunStats {
-        &self.stats
+        &self.engine.stats
     }
 
     /// Index size `|𝒱|` right now.
     pub fn index_size(&self) -> usize {
-        self.index.len()
+        self.engine.index.len()
     }
 
     /// Entries currently held by the similarity memo cache (0 when the
     /// cache is disabled via [`HeraConfig::sim_cache`]).
     pub fn sim_cache_size(&self) -> usize {
-        self.cache.as_ref().map_or(0, SimCache::len)
+        self.engine.cache.as_ref().map_or(0, SimCache::len)
     }
 
     /// Schema matchings decided so far.
     pub fn schema_matchings(&self) -> Vec<DecidedMatching> {
-        self.voter.decided()
+        self.engine.voter.decided()
     }
 
     /// The session's schema registry.
     pub fn registry(&self) -> &SchemaRegistry {
-        &self.registry
+        &self.engine.registry
     }
-}
-
-/// The frontier's candidate root pairs: every index group touching a
-/// dirty root, each once, as a normalized `(min, max)` key. Group keys
-/// are always live union–find roots (a merge re-homes the loser's groups
-/// under the winner), so each dirty root's partner list *is* its share
-/// of the frontier — no index scan, no `find`, no dedup set. A pair of
-/// two dirty roots is emitted from its smaller side only.
-fn frontier_keys(index: &ValuePairIndex, dirty: &FxHashSet<u32>) -> Vec<(u32, u32)> {
-    let mut keys = Vec::new();
-    for &r in dirty {
-        for p in index.partners(r) {
-            if p < r && dirty.contains(&p) {
-                continue;
-            }
-            keys.push(pair_key(r, p));
-        }
-    }
-    keys
-}
-
-/// The normalized `(min, max)` key of a root pair.
-fn pair_key(a: u32, b: u32) -> (u32, u32) {
-    (a.min(b), a.max(b))
 }
 
 /// Pull-based view of one progressive resolve call — see
@@ -1605,8 +1362,8 @@ mod tests {
                 .add_record(schemas[rec.schema.index()], rec.values.clone())
                 .unwrap();
             session.resolve();
-            session.index.check_invariants().unwrap();
-            if let Some(c) = &session.cache {
+            session.engine.index.check_invariants().unwrap();
+            if let Some(c) = &session.engine.cache {
                 c.check_invariants().unwrap();
             }
         }
@@ -1664,6 +1421,123 @@ mod tests {
         s.resolve_time = Default::default();
         s.verify_time = Default::default();
         s.to_json().to_string_compact()
+    }
+
+    /// The 200-record generated dataset of `tests/streaming.rs`.
+    fn generated() -> hera_types::Dataset {
+        use hera_datagen::{CorruptionConfig, DatagenConfig, Generator};
+        Generator::new(DatagenConfig {
+            name: "stream-test".into(),
+            seed: 17,
+            n_records: 200,
+            n_entities: 30,
+            n_attrs: 12,
+            n_sources: 3,
+            min_source_attrs: 7,
+            max_source_attrs: 10,
+            corruption: CorruptionConfig::moderate(),
+            domain: Default::default(),
+        })
+        .generate()
+    }
+
+    fn ingested(cfg: HeraConfig, ds: &hera_types::Dataset) -> HeraSession {
+        let mut session = HeraSession::builder(cfg).build();
+        let schemas = mirror_schemas(&mut session, ds);
+        for rec in ds.iter() {
+            session
+                .add_record(schemas[rec.schema.index()], rec.values.clone())
+                .unwrap();
+        }
+        session
+    }
+
+    /// Differential check of the engine split: the Paper schedule run on
+    /// an engine loaded by session bulk ingest ends exactly where
+    /// `Hera::run_with_pairs` does — same partition, same deterministic
+    /// stats. Ingest builds the same index the batch join does, so only
+    /// the schedule tells the two entry points apart; the test checks
+    /// that first.
+    #[test]
+    fn paper_schedule_on_ingested_engine_matches_batch() {
+        let cases = [
+            (motivating_example(), HeraConfig::paper_example()),
+            (generated(), HeraConfig::new(0.5, 0.5)),
+            (
+                generated(),
+                HeraConfig::new(0.5, 0.5).with_bound_mode(hera_index::BoundMode::Paper),
+            ),
+        ];
+        for (ds, cfg) in cases {
+            let hera = Hera::builder(cfg.clone()).build();
+            let batch = hera.run(&ds).unwrap();
+            let mut session = ingested(cfg, &ds);
+            assert_eq!(
+                session.engine.index.to_json(),
+                ValuePairIndex::build(hera.join(&ds)).to_json(),
+                "{}",
+                ds.name
+            );
+            crate::driver::resolve_paper(&mut session.engine).unwrap();
+            let entity_of: Vec<u32> = (0..ds.len() as u32)
+                .map(|r| session.entity_of(RecordId::new(r)))
+                .collect();
+            assert_eq!(entity_of, batch.entity_of, "{}", ds.name);
+            assert_eq!(
+                deterministic_stats(session.stats()),
+                deterministic_stats(&batch.stats),
+                "{}",
+                ds.name
+            );
+        }
+    }
+
+    /// `validate_index` only checks: slicing a session to its fixpoint
+    /// with the per-round index and sim-cache invariant check on gives
+    /// the clusters and stats it gives with the check off.
+    #[test]
+    fn index_validation_does_not_change_sliced_resolution() {
+        let ds = generated();
+        let slice = |cfg: HeraConfig| {
+            let mut session = ingested(cfg, &ds);
+            while session
+                .resolve_progressive(ResolveBudget::comparisons(16))
+                .exhausted
+            {}
+            session
+        };
+        let mut off = slice(HeraConfig::new(0.5, 0.5));
+        let mut on = slice(HeraConfig::new(0.5, 0.5).with_index_validation());
+        assert!(off.merge_count() > 0);
+        assert_eq!(on.clusters(), off.clusters());
+        assert_eq!(
+            deterministic_stats(on.stats()),
+            deterministic_stats(off.stats())
+        );
+    }
+
+    /// The two schedules may end at different fixpoints (DESIGN.md, "One
+    /// engine, two schedules"). On this dataset, with schema voting off,
+    /// the Paper schedule merges (460, 709) at 0.511 in key order before
+    /// (460, 831) at 0.625; the Ranked schedule merges the stronger
+    /// (460, 831) first, and the super record {460, 831} then stays
+    /// below δ against 709. Merge order alone moves one record.
+    #[test]
+    fn paper_and_ranked_fixpoints_differ_by_merge_order() {
+        let ds = {
+            let mut cfg = hera_datagen::scale_preset(1000, 7);
+            cfg.duplicate_skew = 3.0;
+            hera_datagen::ScaleGenerator::new(cfg).generate()
+        };
+        let cfg = HeraConfig::new(0.5, 0.5).without_schema_voting();
+        let batch = Hera::builder(cfg.clone()).build().run(&ds).unwrap();
+        let mut session = ingested(cfg, &ds);
+        session.resolve();
+        assert_eq!((batch.entity_count(), session.clusters().len()), (771, 772));
+        assert!(batch.same_entity(460, 709) && batch.same_entity(460, 831));
+        let label = |r: u32| session.entity_of(RecordId::new(r));
+        assert_eq!(label(460), label(831));
+        assert_ne!(label(460), label(709));
     }
 
     #[test]

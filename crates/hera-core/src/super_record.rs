@@ -1,7 +1,7 @@
 //! Super records (Definition 2) and the merge operation `⊕` (Example 2).
 
 use hera_types::json::Json;
-use hera_types::{Dataset, Label, Record, Result, SourceAttrId, Value};
+use hera_types::{Dataset, Label, Record, Result, Schema, SourceAttrId, Value};
 use rustc_hash::FxHashMap;
 
 /// One field of a super record: the set of values observed for (what HERA
@@ -63,9 +63,14 @@ impl SuperRecord {
     /// occupy a fid so labels align with the base record's positions) but
     /// carry no values.
     pub fn from_record(ds: &Dataset, rec: &Record) -> Self {
-        let schema = ds.registry.schema(rec.schema);
-        let fields = rec
-            .values
+        Self::lift(rec.id.raw(), ds.registry.schema(rec.schema), &rec.values)
+    }
+
+    /// Lifts base record `rid` with positional `values` under `schema`,
+    /// tracking each field's source attribute; see
+    /// [`SuperRecord::from_record`].
+    pub(crate) fn lift(rid: u32, schema: &Schema, values: &[Value]) -> Self {
+        let fields = values
             .iter()
             .zip(&schema.attrs)
             .map(|(v, a)| {
@@ -80,9 +85,9 @@ impl SuperRecord {
             })
             .collect();
         Self {
-            rid: rec.id.raw(),
+            rid,
             fields,
-            members: vec![rec.id.raw()],
+            members: vec![rid],
         }
     }
 
